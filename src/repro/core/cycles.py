@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import INDEX_DTYPE
-from ..device.device import Device
+from ..device.device import Device, DeviceGroup
 from ..errors import ScanError
 from ..obs import trace_span
 from ..sparse.csr import CSRMatrix
@@ -33,7 +33,7 @@ __all__ = ["BrokenCycles", "break_cycles", "detect_cycles"]
 def detect_cycles(
     factor: Factor,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
     scan_result: ScanResult | None = None,
     compaction=None,
 ) -> np.ndarray:
@@ -68,7 +68,7 @@ def break_cycles(
     factor: Factor,
     graph: CSRMatrix | None = None,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
     scan_result: ScanResult | None = None,
     compaction=None,
 ) -> BrokenCycles:

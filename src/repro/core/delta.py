@@ -73,6 +73,7 @@ from .coverage import coverage as coverage_of
 from .cycles import BrokenCycles
 from .extraction import TridiagonalSystem
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
+from .partition import resolve_devices
 from .paths import PathInfo
 from .permutation import forest_permutation, inverse_permutation
 from .pipeline import (
@@ -648,8 +649,6 @@ def apply_edits(
             device=device, devices=devices, compaction=compaction,
         )
     if devices is not None or device is None:
-        from .sharded import resolve_devices
-
         devices = resolve_devices(devices)
     if devices is not None and devices > 1:
         if device is not None:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import VALUE_DTYPE, as_value_array, check_square
-from ..device.device import Device, default_device
+from ..device.device import Device, DeviceGroup
 from ..errors import ShapeError
 from ..obs import trace_span
 from ..sparse.csr import CSRMatrix
+from .partition import Shards
 from .permutation import inverse_permutation
 from .structures import Factor
 
@@ -92,7 +93,7 @@ def extract_tridiagonal(
     forest: Factor,
     perm: np.ndarray,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | Shards | None = None,
 ) -> TridiagonalSystem:
     """Scatter the linear-forest coefficients of ``A`` into band storage.
 
@@ -100,40 +101,59 @@ def extract_tridiagonal(
     main diagonal of ``A``) enter the system — an incidental coupling between
     the last vertex of one path and the first of the next is *not* included,
     exactly as in the paper's implementation.
+
+    On a :class:`~repro.device.device.DeviceGroup` (or a
+    :class:`~repro.core.partition.Shards` layout) each shard walks its own
+    matrix rows; values whose permuted position lands in another shard's
+    band range ship over the interconnect (``halo.bands``).
     """
     n = check_square(a.shape)
-    device = device or default_device()
+    shards = Shards.of(device, n)
     new_index = inverse_permutation(perm)
     # the bands inherit the input precision: a float32 matrix yields a
     # float32 system (the paper's single-precision benchmark path)
     band_dtype = a.data.dtype
     dl = np.zeros(n, dtype=band_dtype)
     du = np.zeros(n, dtype=band_dtype)
+    d = np.zeros(n, dtype=band_dtype)
     coo = a.to_coo()
+    value_msg_bytes = int(np.dtype(band_dtype).itemsize) + 8  # value + position
     with trace_span(
         "extract-tridiagonal",
         category="stage",
         n=n,
         nnz=a.nnz,
         dtype=str(band_dtype),
-    ), device.launch(
-        "extract-coefficients", reads=(coo.row, coo.col, coo.val), writes=(dl, du)
     ):
-        d = np.zeros(n, dtype=band_dtype)
-        on_diag = coo.row == coo.col
-        d[new_index[coo.row[on_diag]]] = coo.val[on_diag]
-        off = ~on_diag
-        rows = coo.row[off]
-        cols = coo.col[off]
-        vals = coo.val[off]
-        in_forest = forest.contains_edges(rows, cols)
-        rows = rows[in_forest]
-        cols = cols[in_forest]
-        vals = vals[in_forest]
-        p_row = new_index[rows]
-        p_col = new_index[cols]
-        sub = p_col == p_row - 1
-        sup = p_col == p_row + 1
-        dl[p_row[sub]] = vals[sub]
-        du[p_row[sup]] = vals[sup]
+        for s, dev, lo, hi in shards:
+            # COO entries come in CSR order: a row range is one slice
+            e0, e1 = int(a.indptr[lo]), int(a.indptr[hi])
+            row, col, val = coo.row[e0:e1], coo.col[e0:e1], coo.val[e0:e1]
+            with dev.launch(
+                "extract-coefficients",
+                reads=(row, col, val),
+                writes=(dl[lo:hi], du[lo:hi]),
+            ):
+                on_diag = row == col
+                p_diag = new_index[row[on_diag]]
+                d[p_diag] = val[on_diag]
+                off = ~on_diag
+                rows = row[off]
+                cols = col[off]
+                vals = val[off]
+                in_forest = forest.contains_edges(rows, cols)
+                rows = rows[in_forest]
+                cols = cols[in_forest]
+                vals = vals[in_forest]
+                p_row = new_index[rows]
+                p_col = new_index[cols]
+                sub = p_col == p_row - 1
+                sup = p_col == p_row + 1
+                dl[p_row[sub]] = vals[sub]
+                du[p_row[sup]] = vals[sup]
+                if shards.exchanges:
+                    written = np.concatenate([p_diag, p_row[sub], p_row[sup]])
+                    shards.halo(
+                        s, written, value_msg_bytes, "halo.bands", push=True
+                    )
     return TridiagonalSystem(dl=dl, d=d, du=du)

@@ -30,18 +30,22 @@ the paper-exact full-nnz round survives in :mod:`repro.core.ablations`.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .._validation import INDEX_DTYPE, require
-from ..device.device import Device, default_device
+from ..device.device import Device, DeviceGroup
 from ..obs import trace_span
 from ..errors import FactorError, ShapeError
 from ..sparse.csr import CSRMatrix
 from ..sparse.topn import top_n_per_row, validate_proposition_weights
 from .charge import vertex_charges
 from .coverage import coverage as coverage_of
+from .frontier import resolve_compaction
+from .partition import Shards
+from .proposer import PropositionEngine
 from .structures import NO_PARTNER, Factor
 
 __all__ = [
@@ -50,6 +54,11 @@ __all__ = [
     "parallel_factor",
     "propose_edges",
 ]
+
+#: Interconnect bytes per remote vertex whose degree a proposing shard pulls.
+_DEGREE_HALO_BYTES = 8
+#: Interconnect bytes per remote vertex whose charge flag is pulled.
+_CHARGE_HALO_BYTES = 1
 
 
 @dataclass(frozen=True)
@@ -178,12 +187,18 @@ def _confirm_mutual(
     confirmed: np.ndarray,
     degree: np.ndarray,
     prop_cols: np.ndarray,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> int:
-    """Keep mutually proposed edges (Alg. 2 line 27); returns #new entries."""
-    valid = prop_cols != NO_PARTNER
+    """Keep mutually proposed edges (Alg. 2 line 27) of rows ``[lo, hi)``;
+    returns #new entries.  The slot assignment is a per-vertex occurrence
+    rank, so a row range writes exactly its rows of the whole-graph result."""
+    valid = prop_cols[lo:hi] != NO_PARTNER
     v_idx, slots = np.nonzero(valid)
     if v_idx.size == 0:
         return 0
+    if lo:
+        v_idx += lo
     w = prop_cols[v_idx, slots]
     mutual = (prop_cols[w] == v_idx[:, None]).any(axis=1)
     new_v = v_idx[mutual]
@@ -200,7 +215,7 @@ def parallel_factor(
     graph: CSRMatrix,
     config: ParallelFactorConfig | None = None,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | Shards | None = None,
     coverage_matrix: CSRMatrix | None = None,
     compaction=None,
     charge_ids: np.ndarray | None = None,
@@ -216,7 +231,11 @@ def parallel_factor(
         Algorithm parameters; defaults to the paper's default configuration
         (n = 2, M = 5, m = 5, k_m = 0, p = 0.5).
     device:
-        Device used for kernel-launch accounting.
+        Device used for kernel-launch accounting.  A
+        :class:`~repro.device.device.DeviceGroup` (or a
+        :class:`~repro.core.partition.Shards` layout) runs every launch per
+        shard, with reads of remote rows metered as halo exchanges on the
+        group's interconnect; the factor is bit-identical either way.
     coverage_matrix:
         When given, the coverage history c_π(k) is tracked against this
         (original) matrix after every iteration — this is how Table 4 reports
@@ -228,7 +247,8 @@ def parallel_factor(
         or ``"auto"`` — the :mod:`repro.tune` cache lookup keyed by the
         graph's fingerprint), or ``None`` to honour ``REPRO_COMPACTION``
         (default eager).  The factor is bit-identical under every policy;
-        only traffic differs.
+        only traffic differs.  Each shard consults the policy against its
+        *local* frontier.
     charge_ids:
         Identity array fed to the charge hash instead of the global vertex
         ids (see :func:`repro.core.charge.vertex_charges`).  The batch
@@ -236,12 +256,19 @@ def parallel_factor(
         like its members would solo.
     """
     config = config or ParallelFactorConfig()
-    device = device or default_device()
     n_vertices = graph.n_rows
     n = config.n
     if graph.n_rows != graph.n_cols:
         raise ShapeError("graph adjacency must be square")
-    validate_proposition_weights(graph.data)
+    shards = Shards.of(device, n_vertices)
+    # the graph enables the "auto" spec to fingerprint-match the tuning cache
+    policy = resolve_compaction(compaction, graph=graph)
+    if charge_ids is None:
+        charge_ids = np.arange(n_vertices, dtype=np.uint32)
+    elif np.shape(charge_ids) != (n_vertices,):
+        raise ShapeError(
+            f"charge_ids must have shape ({n_vertices},), got {np.shape(charge_ids)}"
+        )
 
     confirmed = np.full((n_vertices, n), NO_PARTNER, dtype=INDEX_DTYPE)
     coverage_history: list[float] = []
@@ -251,12 +278,17 @@ def parallel_factor(
     converged = False
     iterations = 0
 
-    # the proposition's sort key depends only on the graph: hoist it out of
-    # the rounds, and keep only the still-active edge frontier in play
-    # (see repro.core.proposer for the frontier invariant)
-    from .proposer import PropositionEngine
+    # one proposition engine per shard: the sort key depends only on the
+    # graph, so it is hoisted out of the rounds, and only the still-active
+    # edge frontier stays in play (see repro.core.proposer)
+    engines = {
+        s: PropositionEngine(graph, n, compaction=policy, rows=(lo, hi))
+        for s, _, lo, hi in shards
+    }
 
-    engine = PropositionEngine(graph, n, compaction=compaction)
+    def track_coverage() -> None:
+        if coverage_matrix is not None:
+            coverage_history.append(coverage_of(coverage_matrix, Factor(confirmed)))
 
     with trace_span(
         "parallel-factor",
@@ -264,12 +296,13 @@ def parallel_factor(
         n=n,
         max_iterations=config.max_iterations,
         n_vertices=n_vertices,
-        total_edges=engine.total_edges,
-        compaction=engine.policy.name,
+        total_edges=graph.nnz,
+        compaction=policy.name,
     ) as stage:
         for k in range(config.max_iterations):
             charging = config.charging_enabled(k)
-            frontier_history.append(engine.frontier_size)
+            frontier = sum(e.frontier_size for e in engines.values())
+            frontier_history.append(frontier)
             iterations = k + 1
 
             with trace_span(
@@ -277,86 +310,120 @@ def parallel_factor(
                 category="stage",
                 k=k,
                 charging=charging,
-                frontier=engine.frontier_size,
+                frontier=frontier,
             ) as round_span:
-                if engine.frontier_size == 0:
+                if frontier == 0:
                     # Every edge retired: no round can ever propose again.  The
                     # outcome of the paper's launches is fully known, so none fire.
                     proposals_history.append(0)
                     if round_span is not None:
                         round_span.attributes["proposals"] = 0
+                    track_coverage()
                     if not charging:
                         # |π(V)| = |π'(V)| on an un-charged round: maximal factor
                         m_max = k + 1
                         converged = True
-                        if coverage_matrix is not None:
-                            coverage_history.append(
-                                coverage_of(coverage_matrix, Factor(confirmed))
-                            )
                         break
-                    if coverage_matrix is not None:
-                        coverage_history.append(
-                            coverage_of(coverage_matrix, Factor(confirmed))
-                        )
                     continue
 
                 charges = None
                 if charging:
-                    with device.launch(f"charge[k={k}]", writes=()):
-                        charges = vertex_charges(
-                            n_vertices, k, p=config.p, seed=config.seed,
-                            ids=charge_ids,
-                        )
+                    charges = np.empty(n_vertices, dtype=bool)
+                    for _, dev, lo, hi in shards:
+                        with dev.launch(f"charge[k={k}]", writes=()):
+                            charges[lo:hi] = vertex_charges(
+                                hi - lo, k, p=config.p, seed=config.seed,
+                                ids=charge_ids[lo:hi],
+                            )
 
-                with device.launch(f"propose[k={k}]") as kl:
-                    prop_cols, _prop_vals, prop_counts = engine.propose(
-                        confirmed, charges=charges, launch=kl
-                    )
-                total_proposals = int(prop_counts.sum())
+                # a single engine's proposal slots already cover every row
+                prop_cols = (
+                    None
+                    if len(engines) == 1
+                    else np.full((n_vertices, n), NO_PARTNER, dtype=INDEX_DTYPE)
+                )
+                proposed: dict[int, int] = {}
+                for s, dev, lo, hi in shards:
+                    engine = engines[s]
+                    if engine.frontier_size == 0:
+                        continue  # a converged shard never launches; peers go on
+                    if shards.exchanges:
+                        targets = engine.live_cols()
+                        shards.halo(s, targets, _DEGREE_HALO_BYTES, "halo.degree")
+                        if charging:
+                            shards.halo(s, targets, _CHARGE_HALO_BYTES, "halo.charges")
+                    with dev.launch(f"propose[k={k}]") as kl:
+                        local_cols, _prop_vals, counts = engine.propose(
+                            confirmed, charges=charges, launch=kl
+                        )
+                    if prop_cols is None:
+                        prop_cols = local_cols
+                    else:
+                        prop_cols[lo:hi] = local_cols
+                    proposed[s] = int(counts.sum())
+                total_proposals = sum(proposed.values())
                 proposals_history.append(total_proposals)
                 if round_span is not None:
                     round_span.attributes["proposals"] = total_proposals
 
                 if total_proposals == 0:
+                    track_coverage()
                     if not charging:
                         # |π(V)| = |π'(V)| on an un-charged round: maximal factor
                         m_max = k + 1
                         converged = True
-                        if coverage_matrix is not None:
-                            coverage_history.append(
-                                coverage_of(coverage_matrix, Factor(confirmed))
-                            )
                         break
                     # charge starvation: nothing to mutualize, the factor (and
                     # therefore the frontier) is unchanged — skip both launches
-                    if coverage_matrix is not None:
-                        coverage_history.append(
-                            coverage_of(coverage_matrix, Factor(confirmed))
-                        )
                     continue
 
+                # Mutualize: every proposing shard confirms against the
+                # frozen proposal array (concurrent launches, like a scan
+                # step), then re-derives its frontier from the updated
+                # factor — compaction must observe *all* confirms of the
+                # round, or a boundary edge whose far endpoint just
+                # saturated would linger in the frontier.
                 degree = (confirmed != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
-                with device.launch(
-                    f"mutualize[k={k}]", reads=(prop_cols,), writes=(confirmed,)
-                ) as kl:
-                    n_new = _confirm_mutual(confirmed, degree, prop_cols)
-                    if n_new:
-                        engine.compact(
-                            confirmed,
-                            launch=kl,
-                            rounds_remaining=config.max_iterations - (k + 1),
+                n_new = 0
+                with ExitStack() as stack:
+                    launches = {}
+                    for s, dev, lo, hi in shards:
+                        if s not in proposed:
+                            continue
+                        local = prop_cols[lo:hi]
+                        if shards.exchanges and proposed[s]:
+                            shards.halo(
+                                s, local[local != NO_PARTNER],
+                                n * _DEGREE_HALO_BYTES, "halo.props",
+                            )
+                        launches[s] = stack.enter_context(
+                            dev.launch(
+                                f"mutualize[k={k}]",
+                                reads=(local,),
+                                writes=(confirmed[lo:hi],),
+                            )
                         )
-                    kl.telemetry(
-                        active_lanes=engine.frontier_size,
-                        total_lanes=engine.total_edges,
-                    )
+                    for s in launches:
+                        engine = engines[s]
+                        n_new += _confirm_mutual(
+                            confirmed, degree, prop_cols, engine.lo, engine.hi
+                        )
+                    for s, kl in launches.items():
+                        engine = engines[s]
+                        if n_new:
+                            engine.compact(
+                                confirmed,
+                                launch=kl,
+                                rounds_remaining=config.max_iterations - (k + 1),
+                            )
+                        kl.telemetry(
+                            active_lanes=engine.frontier_size,
+                            total_lanes=engine.total_edges,
+                        )
                 if round_span is not None:
                     round_span.attributes["confirmed_new"] = n_new
 
-                if coverage_matrix is not None:
-                    coverage_history.append(
-                        coverage_of(coverage_matrix, Factor(confirmed))
-                    )
+                track_coverage()
 
         if stage is not None:
             stage.attributes.update(
@@ -371,6 +438,6 @@ def parallel_factor(
         coverage_history=coverage_history,
         proposals_per_iteration=proposals_history,
         frontier_history=frontier_history,
-        compaction_decisions=list(engine.decisions),
-        gathered_elements=engine.gathered_elements,
+        compaction_decisions=[d for e in engines.values() for d in e.decisions],
+        gathered_elements=sum(e.gathered_elements for e in engines.values()),
     )

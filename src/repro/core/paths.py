@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .._validation import INDEX_DTYPE
-from ..device.device import Device
+from ..device.device import Device, DeviceGroup
 from ..errors import ScanError
 from .scan import AddOperator, BidirectionalScan, ScanResult, decode_end
 from .structures import Factor
@@ -82,7 +82,7 @@ def paths_from_scan(result: ScanResult) -> PathInfo:
 def identify_paths(
     forest: Factor,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
     compaction=None,
 ) -> PathInfo:
     """Run the position scan on a linear forest.

@@ -13,15 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..device.device import Device, default_device
+from ..device.device import Device, DeviceGroup, default_device
 from ..device.profiler import TimingBreakdown
-from ..obs import trace_span
+from ..errors import ConfigError, FactorError
+from ..obs import current_metrics, trace_span
 from ..sparse.build import prepare_graph
 from ..sparse.csr import CSRMatrix
 from .coverage import coverage as coverage_of
 from .cycles import BrokenCycles, break_cycles
 from .extraction import TridiagonalSystem, extract_tridiagonal
 from .factor import ParallelFactorConfig, ParallelFactorResult, parallel_factor
+from .frontier import resolve_compaction
+from .partition import Shards, VertexPartition, resolve_devices
 from .paths import PathInfo, identify_paths, paths_from_scan
 from .permutation import forest_permutation
 from .scan import AddOperator, BidirectionalScan, FusedOperator, MinEdgeOperator
@@ -81,8 +84,9 @@ def extract_linear_forest(
     a: CSRMatrix,
     config: ParallelFactorConfig | None = None,
     *,
-    device: Device | None = None,
+    device: Device | DeviceGroup | None = None,
     devices: int | None = None,
+    partition: VertexPartition | None = None,
     merged_scan: bool = True,
     compaction=None,
     prepared_graph: CSRMatrix | None = None,
@@ -90,18 +94,20 @@ def extract_linear_forest(
 ) -> LinearForestResult:
     """Run the complete pipeline of the paper on an input matrix ``A``.
 
-    ``config.n`` must be 2 (linear forests come from [0,2]-factors); the
-    remaining parameters default to the paper's default configuration
-    (M = 5, m = 5, k_m = 0, p = 0.5).
+    ``config.n`` must be 2 (linear forests come from [0,2]-factors; any
+    other value raises :class:`~repro.errors.ConfigError`); the remaining
+    parameters default to the paper's default configuration (M = 5, m = 5,
+    k_m = 0, p = 0.5).  Every value of ``A`` must be finite: NaN or ±inf
+    raise :class:`~repro.errors.FactorError`.
 
     ``devices`` (or a :class:`~repro.device.device.DeviceGroup` passed as
-    ``device``) routes the run through the sharded engine
-    (:mod:`repro.core.sharded`) — N simulated GPUs over a uniform 1-D vertex
-    partition with halo exchange on the group's interconnect.  When neither
-    is given, ``REPRO_DEVICES`` selects the ambient device count; an
-    explicit single :class:`~repro.device.device.Device` always pins the
-    classic single-device path.  Results are bit-identical for every device
-    count (see ``docs/SHARDING.md``).
+    ``device``) shards the run over N simulated GPUs — a uniform 1-D vertex
+    partition, or ``partition`` (only with a group), with halo exchange
+    on the group's interconnect.  When neither is given, ``REPRO_DEVICES``
+    selects the ambient device count; an explicit single
+    :class:`~repro.device.device.Device` always pins one device.  A single
+    device is simply the one-shard case of the same engines, and results
+    are bit-identical for every device count (see ``docs/SHARDING.md``).
 
     With ``merged_scan`` (the default) the cycle scan carries the position
     accumulator as a fused payload.  When the factor turns out acyclic — the
@@ -127,44 +133,23 @@ def extract_linear_forest(
     overrides the vertex identities hashed by the charge kernel (see
     :func:`repro.core.charge.vertex_charges`).
     """
-    from ..device.device import DeviceGroup
-    from .frontier import resolve_compaction
-
-    if isinstance(device, DeviceGroup):
-        from .sharded import extract_linear_forest_sharded
-
-        return extract_linear_forest_sharded(
-            a, config, group=device, devices=devices, merged_scan=merged_scan,
-            compaction=compaction, prepared_graph=prepared_graph,
-            charge_ids=charge_ids,
-        )
-    if devices is not None or device is None:
-        # an explicit single Device pins the classic path even when
-        # REPRO_DEVICES is set; otherwise the env var is the ambient default
-        from .sharded import resolve_devices
-
-        devices = resolve_devices(devices)
-    if devices is not None:
-        if device is not None:
-            from ..errors import ConfigError
-
-            raise ConfigError(
-                "pass a DeviceGroup (or no device) together with devices=; "
-                "a single Device cannot host a sharded run"
-            )
-        from .sharded import extract_linear_forest_sharded
-
-        return extract_linear_forest_sharded(
-            a, config, devices=devices, merged_scan=merged_scan,
-            compaction=compaction, prepared_graph=prepared_graph,
-            charge_ids=charge_ids,
-        )
-
     config = config or ParallelFactorConfig(n=2)
     if config.n != 2:
-        raise ValueError(f"linear-forest extraction requires n=2, got n={config.n}")
-    device = device or default_device()
+        raise ConfigError(f"linear-forest extraction requires n=2, got n={config.n}")
+    if not bool(np.isfinite(a.data).all()):
+        bad = int(np.count_nonzero(~np.isfinite(a.data)))
+        raise FactorError(
+            f"matrix has {bad} non-finite value(s) (NaN or ±inf); "
+            "linear-forest extraction needs finite weights"
+        )
+    group = _resolve_group(device, devices)
+    if group is None:
+        if partition is not None:
+            raise ConfigError("partition= requires a DeviceGroup (or devices=)")
+        device = device or default_device()
     timings = TimingBreakdown()
+    metrics = current_metrics() if group is not None else None
+    halo_before = group.interconnect.total_bytes() if group is not None else 0
 
     with trace_span(
         "extract-linear-forest",
@@ -176,6 +161,12 @@ def extract_linear_forest(
     ) as root:
         with timings.phase(PHASE_FACTOR):
             graph = prepared_graph if prepared_graph is not None else prepare_graph(a)
+            if group is not None:
+                # one layout for every engine of the run
+                device = Shards(group, graph.n_rows, partition)
+                if metrics is not None:
+                    metrics.counter("shard.runs").inc()
+                    metrics.gauge("shard.devices").set(len(group))
             # resolve once the prepared graph exists: the "auto" spec
             # fingerprints it against the tuning cache, and every engine
             # below then shares the one concrete policy instance
@@ -219,6 +210,14 @@ def extract_linear_forest(
                 n_paths=paths.n_paths,
                 factor_iterations=factor_result.iterations,
             )
+        if group is not None:
+            halo_bytes = group.interconnect.total_bytes() - halo_before
+            if metrics is not None:
+                metrics.counter("shard.halo.bytes").inc(halo_bytes)
+            if root is not None:
+                root.attributes.update(
+                    devices=len(group), interconnect_bytes=halo_bytes
+                )
 
     return LinearForestResult(
         graph=graph,
@@ -230,3 +229,30 @@ def extract_linear_forest(
         coverage=cov,
         timings=timings,
     )
+
+
+def _resolve_group(device, devices) -> DeviceGroup | None:
+    """The device group a run shards over, or ``None`` for one device.
+
+    A :class:`DeviceGroup` wins (``devices``, when also given, must match
+    it); otherwise ``devices`` — or, with no device either, the ambient
+    ``REPRO_DEVICES`` — builds a non-recording group.  An explicit single
+    :class:`Device` pins one device even when ``REPRO_DEVICES`` is set.
+    """
+    if isinstance(device, DeviceGroup):
+        if devices is not None and int(devices) != len(device):
+            raise ConfigError(
+                f"devices={devices} does not match the {len(device)}-device group"
+            )
+        return device
+    if devices is None and device is not None:
+        return None
+    n_devices = resolve_devices(devices)
+    if n_devices is None:
+        return None
+    if device is not None:
+        raise ConfigError(
+            "pass a DeviceGroup (or no device) together with devices=; "
+            "a single Device cannot host a sharded run"
+        )
+    return DeviceGroup(n_devices, record=False)

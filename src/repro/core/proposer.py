@@ -1,19 +1,18 @@
 """Convergence-aware edge proposition — the Algorithm 2 analogue of the
 scan engine.
 
-Two layers of amortization live here, both observationally pure:
+Two layers of amortization live in :class:`PropositionEngine`, both
+observationally pure:
 
-* :class:`PreparedProposer` hoists the round-invariant ``(row, -value,
-  position)`` sort out of Algorithm 2's iteration (profiling shows the
-  global ``lexsort`` inside :func:`repro.sparse.topn.top_n_per_row`
-  dominates a round); per round only the eligibility mask and a segmented
-  cumulative count remain — but still over the *full* nonzero array.
-* :class:`PropositionEngine` adds the frontier compaction that mirrors the
-  convergence-aware :class:`~repro.core.scan.BidirectionalScan`: most
-  eligibility conditions of Algorithm 2 are *monotone* — once they fail for
-  an edge they fail forever — so the engine maintains the **active edge
-  frontier** incrementally across rounds and recomputes only the one
-  transient condition (charge parity) per round.
+* the round-invariant ``(row, -value, position)`` sort is hoisted out of
+  Algorithm 2's iteration (profiling shows the global ``lexsort`` inside
+  :func:`repro.sparse.topn.top_n_per_row` dominates a round);
+* frontier compaction mirrors the convergence-aware
+  :class:`~repro.core.scan.BidirectionalScan`: most eligibility conditions
+  of Algorithm 2 are *monotone* — once they fail for an edge they fail
+  forever — so the engine maintains the **active edge frontier**
+  incrementally across rounds and recomputes only the one transient
+  condition (charge parity) per round.
 
 The frontier invariant (the deviation-from-paper argument, cf. DESIGN.md):
 an edge ``(v, w)`` of the prepared graph leaves the frontier permanently as
@@ -46,6 +45,11 @@ Because a dead entry is ineligible under Algorithm 2's full mask anyway,
 masking instead of gathering leaves every per-row eligible rank unchanged —
 the proposals stay bit-identical across policies; only the traffic moves
 (dead lanes streamed per round vs. a one-off gather).
+
+One engine owns one contiguous row range (``rows=(lo, hi)``, default all
+rows): the proposal's top-n selection is a per-row rank, so an engine per
+shard of a :class:`~repro.core.partition.Shards` layout writes exactly the
+rows of the whole-graph proposal it owns (see ``docs/SHARDING.md``).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 
 from .._validation import INDEX_DTYPE, VALUE_DTYPE
 from ..device.device import KernelLaunch
-from ..errors import FactorError, ShapeError
+from ..errors import ShapeError
 from ..sparse.csr import CSRMatrix
 from ..sparse.topn import validate_proposition_weights
 from .frontier import (
@@ -66,7 +70,7 @@ from .frontier import (
 )
 from .structures import NO_PARTNER
 
-__all__ = ["PreparedProposer", "PropositionEngine"]
+__all__ = ["PropositionEngine"]
 
 #: Bytes per frontier entry moved by a compaction gather: the
 #: ``(row, col, value)`` triple (int64 + int64 + float64).
@@ -117,69 +121,17 @@ def _scatter_proposals(
     return prop_cols, prop_vals, counts
 
 
-class PreparedProposer:
-    """Pre-sorted proposition kernel for repeated rounds on one graph.
-
-    Stateless across rounds (the full nonzero array is re-masked every
-    call); :class:`PropositionEngine` is the stateful frontier-compacted
-    variant used by :func:`repro.core.factor.parallel_factor`.
-    """
-
-    def __init__(self, graph: CSRMatrix):
-        validate_proposition_weights(graph.data)
-        self.graph = graph
-        rows = graph.nnz_rows
-        nnz = graph.nnz
-        position = np.arange(nnz, dtype=INDEX_DTYPE)
-        order = np.lexsort((position, -graph.data, rows))
-        self._rows = rows[order]
-        self._cols = graph.indices[order]
-        self._vals = np.asarray(graph.data, dtype=VALUE_DTYPE)[order]
-        # segment extents are unchanged (row is the primary sort key)
-        self._row_starts = graph.indptr[:-1]
-        self._row_lengths = graph.row_lengths
-        self._n_vertices = graph.n_rows
-
-    def propose(
-        self,
-        confirmed: np.ndarray,
-        n: int,
-        *,
-        charges: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One proposition round; same contract as ``propose_edges``."""
-        n_vertices = self._n_vertices
-        if confirmed.shape != (n_vertices, n):
-            raise ShapeError(f"confirmed must have shape {(n_vertices, n)}")
-        rows, cols, vals = self._rows, self._cols, self._vals
-        degree = (confirmed != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
-
-        eligible = degree[cols] < n
-        eligible &= cols != rows
-        if charges is not None:
-            eligible &= charges[rows] != charges[cols]
-        eligible &= ~(confirmed[rows] == cols[:, None]).any(axis=1)
-
-        capacity = n - degree
-        rank = _segmented_rank(
-            rows, eligible, self._row_starts, self._row_lengths, n_vertices
-        )
-        selected = eligible & (rank < capacity[rows])
-        return _scatter_proposals(
-            rows, cols, vals, selected, rank, n_vertices, n
-        )
-
-
 class PropositionEngine:
     """Frontier-compacted proposition rounds for Algorithm 2.
 
-    The engine owns compacted copies of the pre-sorted nonzero arrays (the
-    *frontier*).  Per round:
+    The engine owns compacted copies of the pre-sorted nonzero arrays of its
+    row range ``rows=(lo, hi)`` (the *frontier*; default: every row).  Per
+    round:
 
     * :meth:`propose` evaluates only the charge mask over the frontier and
       selects the top-``capacity`` eligible entries per row — bit-identical
-      to :func:`repro.core.factor.propose_edges` as long as the frontier is
-      in sync with ``confirmed`` (see :meth:`compact`);
+      to rows ``lo:hi`` of :func:`repro.core.factor.propose_edges` as long
+      as the frontier is in sync with ``confirmed`` (see :meth:`compact`);
     * :meth:`compact` (called after the mutualize step) gathers the
       still-live edges into fresh compact buffers, permanently retiring
       edges with a saturated endpoint or a confirmed pair.
@@ -188,7 +140,8 @@ class PropositionEngine:
     the last ``compact(confirmed)`` saw the same ``confirmed`` array —
     exactly the discipline of Algorithm 2's round loop, where the factor
     only changes in the mutualize step.  A fresh engine is in sync with any
-    all-empty ``confirmed``.
+    all-empty ``confirmed``.  ``confirmed`` is always the whole ``(N, n)``
+    factor: the engine reads the degrees of remote targets from it.
 
     Whether :meth:`compact` *physically* gathers is delegated to a
     :class:`~repro.core.frontier.CompactionPolicy` (``compaction=``; the
@@ -210,12 +163,16 @@ class PropositionEngine:
         n: int,
         *,
         compaction: CompactionPolicy | str | None = None,
+        rows: tuple[int, int] | None = None,
     ):
         if n < 1:
             raise ShapeError(f"n must be >= 1, got {n}")
-        validate_proposition_weights(graph.data)
-        self.graph = graph
+        lo, hi = (0, graph.n_rows) if rows is None else rows
+        s0, s1 = int(graph.indptr[lo]), int(graph.indptr[hi])
+        data = graph.data[s0:s1]
+        validate_proposition_weights(data)
         self.n = int(n)
+        self.lo, self.hi = lo, hi
         # the graph enables the "auto" spec to fingerprint-match the tuning cache
         self.policy = resolve_compaction(compaction, graph=graph)
         #: Per-round compaction decisions, in :meth:`compact` call order.
@@ -223,24 +180,27 @@ class PropositionEngine:
         #: Elements written by the physical compaction gathers so far
         #: (3 per surviving frontier entry: row, col, value).
         self.gathered_elements = 0
+        #: The frontier denominator: every nonzero of the engine's rows.
+        self.total_edges = s1 - s0
         self._n_vertices = graph.n_rows
-        rows = graph.nnz_rows
-        nnz = graph.nnz
-        position = np.arange(nnz, dtype=INDEX_DTYPE)
-        order = np.lexsort((position, -graph.data, rows))
-        rows = rows[order]
-        cols = graph.indices[order]
-        vals = np.asarray(graph.data, dtype=VALUE_DTYPE)[order]
+        nnz_rows = np.repeat(
+            np.arange(lo, hi, dtype=INDEX_DTYPE), np.diff(graph.indptr[lo : hi + 1])
+        )
+        position = np.arange(nnz_rows.size, dtype=INDEX_DTYPE)
+        order = np.lexsort((position, -data, nnz_rows))
+        nnz_rows = nnz_rows[order]
+        cols = graph.indices[s0:s1][order]
+        vals = np.asarray(data, dtype=VALUE_DTYPE)[order]
         # self loops are permanently ineligible: retire them up front
-        live = cols != rows
+        live = cols != nnz_rows
         if not bool(live.all()):
-            rows, cols, vals = rows[live], cols[live], vals[live]
-        self._rows = rows
+            nnz_rows, cols, vals = nnz_rows[live], cols[live], vals[live]
+        self._rows = nnz_rows
         self._cols = cols
         self._vals = vals
         # live mask over the buffers; None means "clean" (everything live)
         self._live: np.ndarray | None = None
-        self._n_live = int(rows.size)
+        self._n_live = int(nnz_rows.size)
         self._recompute_segments()
 
     # -- state ---------------------------------------------------------------
@@ -249,27 +209,17 @@ class PropositionEngine:
         """Number of directed edges still *live* (policy-independent)."""
         return self._n_live
 
-    @property
-    def buffer_size(self) -> int:
-        """Physical length of the frontier buffers (live + carried dead)."""
-        return int(self._rows.size)
-
-    @property
-    def is_dirty(self) -> bool:
-        """True when the buffers carry dead entries awaiting compaction."""
-        return self._live is not None
-
-    @property
-    def total_edges(self) -> int:
-        """The frontier denominator: all nonzeros of the prepared graph."""
-        return self.graph.nnz
+    def live_cols(self) -> np.ndarray:
+        """Proposal-target columns of the still-live frontier entries."""
+        return self._cols if self._live is None else self._cols[self._live]
 
     def _recompute_segments(self) -> None:
-        counts = np.bincount(self._rows, minlength=self._n_vertices).astype(
-            INDEX_DTYPE
-        )
-        starts = np.zeros(self._n_vertices, dtype=INDEX_DTYPE)
-        if self._n_vertices > 1:
+        # rows relative to ``lo``: the proposal slots are local to the range
+        self._rows_local = self._rows - self.lo if self.lo else self._rows
+        n_local = self.hi - self.lo
+        counts = np.bincount(self._rows_local, minlength=n_local).astype(INDEX_DTYPE)
+        starts = np.zeros(n_local, dtype=INDEX_DTYPE)
+        if n_local > 1:
             np.cumsum(counts[:-1], out=starts[1:])
         self._row_starts = starts
         self._row_counts = counts
@@ -282,19 +232,20 @@ class PropositionEngine:
         charges: np.ndarray | None = None,
         launch: KernelLaunch | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One frontier-compacted proposition round.
+        """One frontier-compacted proposition round over the engine's rows.
 
-        Same output contract as :func:`repro.core.factor.propose_edges`.
-        Only the charge mask is recomputed: the frontier invariant
-        guarantees every remaining edge has two unsaturated endpoints and
-        is not yet confirmed.
+        Same output contract as :func:`repro.core.factor.propose_edges`,
+        restricted to rows ``lo:hi``.  Only the charge mask is recomputed:
+        the frontier invariant guarantees every remaining edge has two
+        unsaturated endpoints and is not yet confirmed.
         """
         n = self.n
-        n_vertices = self._n_vertices
-        if confirmed.shape != (n_vertices, n):
-            raise ShapeError(f"confirmed must have shape {(n_vertices, n)}")
+        lo, hi = self.lo, self.hi
+        if confirmed.shape != (self._n_vertices, n):
+            raise ShapeError(f"confirmed must have shape {(self._n_vertices, n)}")
         rows, cols, vals = self._rows, self._cols, self._vals
-        degree = (confirmed != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
+        rows_local = self._rows_local
+        degree = (confirmed[lo:hi] != NO_PARTNER).sum(axis=1).astype(INDEX_DTYPE)
         capacity = n - degree
 
         # Under a deferred compaction the buffers carry dead entries; they
@@ -312,11 +263,11 @@ class PropositionEngine:
                 eligible &= self._live
 
         rank = _segmented_rank(
-            rows, eligible, self._row_starts, self._row_counts, n_vertices
+            rows_local, eligible, self._row_starts, self._row_counts, hi - lo
         )
-        selected = eligible & (rank < capacity[rows])
+        selected = eligible & (rank < capacity[rows_local])
         prop_cols, prop_vals, counts = _scatter_proposals(
-            rows, cols, vals, selected, rank, n_vertices, n
+            rows_local, cols, vals, selected, rank, hi - lo, n
         )
         if launch is not None:
             # The pre-sorted frontier makes the selection purely rank-based:
@@ -329,7 +280,7 @@ class PropositionEngine:
             # trades against the gather cost.
             launch.reads(rows, cols, degree, vals[: int(counts.sum())])
             if charges is not None:
-                launch.reads(charges)
+                launch.reads(charges[lo:hi])
             if self._live is not None:
                 launch.reads(self._live)
             launch.writes(prop_cols, prop_vals, counts)
@@ -348,10 +299,11 @@ class PropositionEngine:
         """Retire permanently ineligible edges; returns the number that died.
 
         Must be called whenever ``confirmed`` gained entries (after the
-        mutualize step).  Monotone: the live frontier never grows.  The
-        compaction policy decides whether the dead entries are *physically*
-        gathered out now or carried in place under the live mask;
-        ``rounds_remaining`` bounds the policy's dead-lane projection.
+        mutualize step of *every* range — a boundary edge retires when its
+        remote endpoint saturates).  Monotone: the live frontier never
+        grows.  The compaction policy decides whether the dead entries are
+        *physically* gathered out now or carried in place under the live
+        mask; ``rounds_remaining`` bounds the policy's dead-lane projection.
         """
         n = self.n
         if confirmed.shape != (self._n_vertices, n):
@@ -382,11 +334,12 @@ class PropositionEngine:
         self.decisions.append(decision)
         record_decision(decision, engine="proposition", launch=launch)
         self._n_live = n_live
+        own_confirmed = confirmed[self.lo : self.hi]
         if decision.compact:
             if launch is not None:
                 # the gather reads the old frontier triple (the keep mask is
                 # computed in-kernel), the scatter writes the compacted one
-                launch.reads(rows, cols, self._vals, confirmed)
+                launch.reads(rows, cols, self._vals, own_confirmed)
             self._rows = rows[live]
             self._cols = cols[live]
             self._vals = self._vals[live]
@@ -399,6 +352,6 @@ class PropositionEngine:
             self._live = live
             if launch is not None:
                 # no gather: the kernel only refreshes the live mask
-                launch.reads(rows, cols, confirmed)
+                launch.reads(rows, cols, own_confirmed)
                 launch.writes(live)
         return newly_dead

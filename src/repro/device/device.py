@@ -296,8 +296,9 @@ class Device:
 class DeviceGroup:
     """N simulated devices plus the interconnect between them.
 
-    The sharded pipeline (:mod:`repro.core.sharded`) runs each vertex-range
-    shard on one member device; traffic between shards is metered on
+    Passed as ``device=``, a group shards the pipeline: the engines run each
+    vertex-range shard on one member device
+    (:class:`repro.core.partition.Shards`); traffic between shards is metered on
     :attr:`interconnect` instead.  Members are named ``gpu0 … gpuN-1`` so
     their launches stay distinguishable in traces
     (:func:`repro.device.trace.summarize` aggregates per device *and* as a

@@ -1,6 +1,6 @@
 """VertexPartition unit tests and sharded-pipeline edge cases.
 
-The second half drives the sharded engine through the degenerate layouts a
+The second half drives the engines, sharded over a ``DeviceGroup``, through the degenerate layouts a
 1-D partition produces — more shards than vertices, empty shards,
 single-vertex shards, zero-edge graphs — and pins the halo contract: when no
 edge and no band position crosses a shard cut, **zero** bytes cross the
@@ -11,11 +11,7 @@ is still bit-identical to the solo run.
 import numpy as np
 import pytest
 
-from repro.core import (
-    VertexPartition,
-    extract_linear_forest,
-    extract_linear_forest_sharded,
-)
+from repro.core import VertexPartition, extract_linear_forest
 from repro.device import Device, DeviceGroup
 from repro.errors import ShapeError
 from repro.sparse import from_edges
@@ -24,7 +20,7 @@ from repro.sparse import from_edges
 def assert_bit_identical(a, group, **kwargs):
     """Run solo + sharded on ``a`` and compare the result arrays."""
     solo = extract_linear_forest(a, device=Device(record=False), **kwargs)
-    sharded = extract_linear_forest_sharded(a, group=group, **kwargs)
+    sharded = extract_linear_forest(a, device=group, **kwargs)
     assert np.array_equal(sharded.forest.neighbors, solo.forest.neighbors)
     assert np.array_equal(sharded.paths.path_id, solo.paths.path_id)
     assert np.array_equal(sharded.paths.position, solo.paths.position)
@@ -179,7 +175,7 @@ def test_explicit_partition_is_honoured():
     partition = VertexPartition(bounds=np.array([0, 2, 2, 12]))
     group = DeviceGroup(3)
     solo = extract_linear_forest(a, device=Device(record=False))
-    sharded = extract_linear_forest_sharded(a, group=group, partition=partition)
+    sharded = extract_linear_forest(a, device=group, partition=partition)
     assert np.array_equal(sharded.forest.neighbors, solo.forest.neighbors)
     assert np.array_equal(sharded.perm, solo.perm)
     # the empty middle shard never launches

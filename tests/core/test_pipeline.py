@@ -6,7 +6,9 @@ import pytest
 from repro.core import ParallelFactorConfig, extract_linear_forest, is_tridiagonal_under
 from repro.core.pipeline import PHASE_EXTRACT, PHASE_FACTOR, PHASE_SCANS
 from repro.device import Device
+from repro.errors import ConfigError, FactorError
 from repro.graphs import aniso2, random_weighted_graph
+from repro.sparse import CSRMatrix
 
 
 def test_pipeline_on_aniso2():
@@ -28,8 +30,30 @@ def test_pipeline_timing_phases():
 
 def test_pipeline_rejects_non_2_factor():
     a = aniso2(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         extract_linear_forest(a, ParallelFactorConfig(n=3))
+
+
+def with_bad_offdiagonal(a, value):
+    """``a`` with its first off-diagonal value replaced by ``value``."""
+    data = a.data.copy()
+    data[np.flatnonzero(a.nnz_rows != a.indices)[0]] = value
+    return CSRMatrix(a.indptr, a.indices, data, a.shape)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_pipeline_rejects_non_finite_weights(bad):
+    """NaN/±inf used to vanish in prepare_graph and come back as coverage=nan;
+    every entry path into the pipeline now refuses them with a typed error."""
+    from repro.batch import extract_linear_forest_batch
+
+    a = with_bad_offdiagonal(random_weighted_graph(20, 50, np.random.default_rng(0)), bad)
+    with pytest.raises(FactorError, match="non-finite"):
+        extract_linear_forest(a, device=Device(record=False))
+    with pytest.raises(FactorError, match="non-finite"):
+        extract_linear_forest(a, devices=2)
+    with pytest.raises(FactorError, match="non-finite"):
+        extract_linear_forest_batch([aniso2(4), a])
 
 
 def test_pipeline_extraction_matches_permuted_matrix(rng):

@@ -1,7 +1,5 @@
-"""The prepared (sort-hoisted) proposer and the frontier-compacted
-proposition engine must both equal propose_edges exactly."""
-
-import time
+"""The sort-hoisted, frontier-compacted proposition engine must equal
+propose_edges exactly."""
 
 import numpy as np
 import pytest
@@ -9,61 +7,11 @@ import pytest
 from repro.core import ParallelFactorConfig, parallel_factor
 from repro.core.charge import vertex_charges
 from repro.core.factor import propose_edges
-from repro.core.proposer import PreparedProposer, PropositionEngine
+from repro.core.proposer import PropositionEngine
 from repro.core.structures import NO_PARTNER
 from repro.errors import FactorError, ShapeError
 from repro.graphs import aniso2, figure1_graph, random_weighted_graph
 from repro.sparse import from_edges, prepare_graph
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_matches_propose_edges_fresh(rng, n):
-    g = random_weighted_graph(70, 350, rng)
-    proposer = PreparedProposer(g)
-    confirmed = np.full((70, n), NO_PARTNER, dtype=np.int64)
-    for k in (None, 0, 1):
-        charges = None if k is None else vertex_charges(70, k)
-        a = propose_edges(g, confirmed, n, charges=charges)
-        b = proposer.propose(confirmed, n, charges=charges)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-
-def test_matches_across_rounds(rng):
-    """Replay Algorithm 2 manually with both kernels in lock-step."""
-    g = random_weighted_graph(60, 300, rng)
-    proposer = PreparedProposer(g)
-    n = 2
-    confirmed = np.full((60, n), NO_PARTNER, dtype=np.int64)
-    from repro.core.factor import _confirm_mutual
-
-    for k in range(6):
-        charges = vertex_charges(60, k) if k % 5 else None
-        a = propose_edges(g, confirmed, n, charges=charges)
-        b = proposer.propose(confirmed, n, charges=charges)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-        degree = (confirmed != NO_PARTNER).sum(axis=1)
-        _confirm_mutual(confirmed, degree, a[0])
-
-
-def test_matches_with_exact_ties(rng):
-    u = rng.integers(0, 30, 150)
-    v = rng.integers(0, 30, 150)
-    keep = u != v
-    g = prepare_graph(from_edges(30, u[keep], v[keep], np.ones(int(keep.sum()))))
-    proposer = PreparedProposer(g)
-    confirmed = np.full((30, 3), NO_PARTNER, dtype=np.int64)
-    a = propose_edges(g, confirmed, 3)
-    b = proposer.propose(confirmed, 3)
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
-
-
-def test_shape_validation(path_graph):
-    proposer = PreparedProposer(path_graph)
-    with pytest.raises(ShapeError):
-        proposer.propose(np.zeros((4, 2), dtype=np.int64), 2)
 
 
 def test_parallel_factor_unchanged_by_optimization(rng):
@@ -212,22 +160,3 @@ def test_engine_rejects_invalid_weights():
     )
     with pytest.raises(FactorError, match="NaN"):
         PropositionEngine(g_nan, 2)
-
-
-def test_amortized_rounds_are_faster(rng):
-    """The point of the optimization: repeated rounds skip the global sort."""
-    g = random_weighted_graph(3000, 30000, rng)
-    confirmed = np.full((3000, 2), NO_PARTNER, dtype=np.int64)
-    proposer = PreparedProposer(g)  # setup cost excluded: it is per graph
-
-    def best_of(fn, reps=5):
-        best = np.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t_ref = best_of(lambda: propose_edges(g, confirmed, 2))
-    t_fast = best_of(lambda: proposer.propose(confirmed, 2))
-    assert t_fast < t_ref

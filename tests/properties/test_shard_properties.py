@@ -1,12 +1,18 @@
 """Property tests: sharding is invisible in the results.
 
-The sharded engine (:mod:`repro.core.sharded`) splits the vertex set over a
-:class:`~repro.device.device.DeviceGroup` and exchanges halos over the
-interconnect.  The contract held here: for **every** device count, dtype and
-compaction policy the sharded pipeline is bit-identical to the single-device
-pipeline — a one-device group included, which must in turn match a solo run
-bit for bit.  These properties are what make the per-device traffic split of
-``benchmarks/test_shard_budget.py`` a pure optimisation.
+Passing a :class:`~repro.device.device.DeviceGroup` splits the vertex set
+over its devices (:class:`~repro.core.partition.Shards`) and exchanges halos
+over the interconnect.  The contract held here: for **every** device count,
+dtype and compaction policy the sharded pipeline is bit-identical to the
+single-device pipeline — a one-device group included, which must in turn
+match a solo run bit for bit.  These properties are what make the
+per-device traffic split of ``benchmarks/test_shard_budget.py`` a pure
+optimisation.
+
+A single device is the one-shard case of the same engine code, so
+solo-vs-sharded alone cannot catch a bug the two share: the multi-shard
+factor and scans are also checked against the paper-exact oracles of
+:mod:`repro.core.ablations`.
 """
 
 import numpy as np
@@ -15,16 +21,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AddOperator,
+    BidirectionalScan,
+    MinEdgeOperator,
     ParallelFactorConfig,
+    break_cycles,
     extract_linear_forest,
-    extract_linear_forest_sharded,
+    parallel_factor,
 )
+from repro.core.ablations import ReferenceScan, reference_parallel_factor
 from repro.device import Device, DeviceGroup
 from repro.graphs import aniso2, random_weighted_graph
+from repro.sparse import prepare_graph
 
 SETTINGS = settings(max_examples=12, deadline=None)
 
 DEVICE_COUNTS = (1, 2, 3, 8)
+SHARDED_COUNTS = (2, 3, 8)
 DTYPES = (np.float32, np.float64)
 POLICIES = ("eager", "never", "adaptive")
 
@@ -71,8 +84,8 @@ def test_sharded_matrix_is_bit_identical_to_solo(devices, dtype, policy):
     """The full ISSUE matrix: devices x dtypes x compaction policies."""
     a = random_graph(1234).astype(dtype)
     solo = extract_linear_forest(a, device=Device(record=False), compaction=policy)
-    sharded = extract_linear_forest_sharded(
-        a, group=DeviceGroup(devices, record=False), compaction=policy
+    sharded = extract_linear_forest(
+        a, device=DeviceGroup(devices, record=False), compaction=policy
     )
     assert_result_equal(sharded, solo, f"devices={devices}")
     assert sharded.tridiagonal.d.dtype == np.dtype(dtype)
@@ -83,7 +96,7 @@ def test_sharded_matrix_is_bit_identical_to_solo(devices, dtype, policy):
 def test_random_graphs_shard_bit_identically(seed, devices):
     a = random_graph(seed)
     solo = extract_linear_forest(a, device=Device(record=False))
-    sharded = extract_linear_forest_sharded(a, devices=devices)
+    sharded = extract_linear_forest(a, devices=devices)
     assert_result_equal(sharded, solo, f"seed={seed} devices={devices}")
 
 
@@ -94,7 +107,7 @@ def test_one_device_group_is_bit_identical_to_solo(seed):
     a = random_graph(seed)
     solo = extract_linear_forest(a, device=Device(record=False))
     group = DeviceGroup(1)
-    sharded = extract_linear_forest_sharded(a, group=group)
+    sharded = extract_linear_forest(a, device=group)
     assert_result_equal(sharded, solo, f"seed={seed}")
     # a single shard owns everything: nothing can cross the interconnect
     assert group.interconnect.transfer_count == 0
@@ -106,9 +119,7 @@ def test_one_device_group_is_bit_identical_to_solo(seed):
 def test_unmerged_scan_shards_bit_identically(seed, devices):
     a = random_graph(seed)
     solo = extract_linear_forest(a, device=Device(record=False), merged_scan=False)
-    sharded = extract_linear_forest_sharded(
-        a, devices=devices, merged_scan=False
-    )
+    sharded = extract_linear_forest(a, devices=devices, merged_scan=False)
     assert_result_equal(sharded, solo, f"seed={seed}")
 
 
@@ -117,7 +128,7 @@ def test_non_default_config_shards_bit_identically():
     for devices in DEVICE_COUNTS:
         a = aniso2(7)
         solo = extract_linear_forest(a, config, device=Device(record=False))
-        sharded = extract_linear_forest_sharded(a, config, devices=devices)
+        sharded = extract_linear_forest(a, config, devices=devices)
         assert_result_equal(sharded, solo, f"devices={devices}")
 
 
@@ -164,7 +175,48 @@ def test_batch_members_under_sharding_match_solo_members():
 @pytest.mark.parametrize("devices", DEVICE_COUNTS)
 def test_float32_dtype_survives_sharding(devices):
     a = aniso2(6).astype(np.float32)
-    sharded = extract_linear_forest_sharded(a, devices=devices)
+    sharded = extract_linear_forest(a, devices=devices)
     assert sharded.tridiagonal.d.dtype == np.float32
     solo = extract_linear_forest(a, device=Device(record=False))
     assert_result_equal(sharded, solo, f"devices={devices}")
+
+
+def assert_scan_equal(result, reference, label=""):
+    np.testing.assert_array_equal(result.q, reference.q, err_msg=label)
+    assert result.payload.keys() == reference.payload.keys(), label
+    for key in reference.payload:
+        np.testing.assert_array_equal(
+            result.payload[key], reference.payload[key], err_msg=f"{key} {label}"
+        )
+
+
+@pytest.mark.parametrize("devices", SHARDED_COUNTS)
+@pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
+def test_sharded_engines_match_paper_exact_oracles(devices, dtype):
+    """Multi-shard factor == reference_parallel_factor, and the multi-shard
+    cycle and position scans == ReferenceScan."""
+    config = ParallelFactorConfig(n=2)
+    n_cycles = 0
+    for seed in (7, 13, 100, 1234):  # three of these factors carry a cycle
+        label = f"seed={seed} devices={devices}"
+        graph = prepare_graph(random_graph(seed).astype(dtype))
+        group = DeviceGroup(devices, record=False)
+
+        res = parallel_factor(graph, config, device=group)
+        ref = reference_parallel_factor(graph, config)
+        assert res.factor == ref.factor, label
+        assert res.iterations == ref.iterations, label
+        assert res.m_max == ref.m_max, label
+        assert res.converged == ref.converged, label
+        assert res.proposals_per_iteration == ref.proposals_per_iteration, label
+
+        cycle_ref = ReferenceScan(ref.factor).run(MinEdgeOperator(), graph)
+        cycle = BidirectionalScan(ref.factor, device=group).run(MinEdgeOperator(), graph)
+        assert_scan_equal(cycle, cycle_ref, label)
+
+        broken = break_cycles(ref.factor, scan_result=cycle_ref)
+        n_cycles += broken.n_cycles
+        position_ref = ReferenceScan(broken.forest).run(AddOperator())
+        position = BidirectionalScan(broken.forest, device=group).run(AddOperator())
+        assert_scan_equal(position, position_ref, label)
+    assert n_cycles > 0  # the cycle scan must have had cycles to find

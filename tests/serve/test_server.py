@@ -207,6 +207,15 @@ class TestHandleRequest:
             assert r["ok"] is False
             assert fragment in r["error"]["message"]
 
+    def test_non_finite_matrix_is_refused(self, server, matrix):
+        # an off-diagonal NaN used to come back ok: true with coverage = nan
+        spec = _csr_spec(matrix)
+        off_diagonal = np.flatnonzero(matrix.nnz_rows != matrix.indices)[0]
+        spec["data"][off_diagonal] = float("nan")
+        r = server.handle_request({"op": "extract", "matrix": spec})
+        assert r["ok"] is False
+        assert "non-finite" in r["error"]["message"]
+
     def test_ping_and_stats(self, server, matrix):
         assert server.handle_request({"op": "ping"})["ok"]
         server.handle_request({"op": "extract", "matrix": _csr_spec(matrix)})
