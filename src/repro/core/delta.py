@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .._validation import INDEX_DTYPE, require
-from ..device.device import Device, DeviceGroup, KernelLaunch, default_device
+from ..device.device import Device, DeviceGroup, default_device
 from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
 from ..obs import Tracer, current_metrics, trace_span
@@ -82,6 +82,7 @@ from .pipeline import (
     PHASE_SCANS,
     LinearForestResult,
     extract_linear_forest,
+    require_finite,
 )
 from .structures import NO_PARTNER, Factor
 
@@ -561,13 +562,6 @@ class DeltaResult:
         return self.result.coverage
 
 
-def _meter(kl: KernelLaunch, *, read: int = 0, written: int = 0) -> None:
-    """Add raw byte counts to a launch handle (fused-kernel accounting)."""
-    if kl.enabled:
-        kl.bytes_read += int(read)
-        kl.bytes_written += int(written)
-
-
 def apply_edits(
     previous: LinearForestResult,
     edits: EditBatch,
@@ -592,7 +586,9 @@ def apply_edits(
     a:
         The original matrix ``previous`` was extracted from (the pipeline
         result does not retain it; extraction coefficients come from the
-        original matrix, not the prepared graph).
+        original matrix, not the prepared graph).  As in
+        :func:`~repro.core.pipeline.extract_linear_forest`, every value must
+        be finite: NaN or ±inf raise :class:`~repro.errors.FactorError`.
     config:
         Algorithm parameters; must match the previous run (default: the
         paper's defaults with n = 2).
@@ -621,6 +617,7 @@ def apply_edits(
             f"previous result covers {previous.graph.n_rows} vertices, "
             f"matrix has {a.n_rows}"
         )
+    require_finite(a)
     metrics = current_metrics()
 
     if len(edits) == 0:
@@ -690,8 +687,7 @@ def apply_edits(
                 core = np.flatnonzero(dist <= radius)
                 # the BFS streams the region's adjacency rows plus the
                 # distance updates
-                _meter(
-                    kl,
+                kl.meter(
                     read=int(graph_new.row_lengths[members].sum()) * 8
                     + members.size * 8,
                     written=members.size * 8,
@@ -733,8 +729,7 @@ def apply_edits(
                         axis=1
                     )
                 ]
-                _meter(
-                    kl,
+                kl.meter(
                     read=sum(k.bytes_read for k in sub_device.kernels)
                     + core.size * 16,
                     written=sum(k.bytes_written for k in sub_device.kernels)
@@ -762,7 +757,7 @@ def apply_edits(
                 )
                 # the walk streams each member's partner pair and writes its
                 # (path id, position, cycle flag) triple
-                _meter(kl, read=n_rescanned * 16, written=n_rescanned * 17)
+                kl.meter(read=n_rescanned * 16, written=n_rescanned * 17)
                 kl.telemetry(active_lanes=2 * n_rescanned, total_lanes=2 * a.n_rows)
             forest = raw_factor.remove_edges(removed_u, removed_v)
             paths = PathInfo(path_id=path_id, position=position)
@@ -774,8 +769,7 @@ def apply_edits(
             ) as kl:
                 tridiagonal = _splice_bands(a_new, previous, paths, perm, region_mask)
                 item = tridiagonal.d.dtype.itemsize
-                _meter(
-                    kl,
+                kl.meter(
                     read=3 * (a.n_rows - n_rescanned) * item  # old band values
                     + n_rescanned * (3 * item + 16),  # fresh gathers
                     written=3 * a.n_rows * item,

@@ -1,7 +1,7 @@
 """The tridiagonalising permutation (Section 3.3 step 3 / Section 4.3).
 
 Vertex ids are sorted by the composite key (path id, position) — the paper
-uses CUB's radix sort; we use the split radix sort of :mod:`repro.sort`.
+uses CUB's radix sort; we use the 8-bit-digit LSD radix sort of :mod:`repro.sort`.
 Under the resulting permutation, consecutive rows are consecutive vertices of
 a path, so every linear-forest edge lands on the sub/superdiagonal of
 ``Q^T A Q``.

@@ -136,12 +136,7 @@ def extract_linear_forest(
     config = config or ParallelFactorConfig(n=2)
     if config.n != 2:
         raise ConfigError(f"linear-forest extraction requires n=2, got n={config.n}")
-    if not bool(np.isfinite(a.data).all()):
-        bad = int(np.count_nonzero(~np.isfinite(a.data)))
-        raise FactorError(
-            f"matrix has {bad} non-finite value(s) (NaN or ±inf); "
-            "linear-forest extraction needs finite weights"
-        )
+    require_finite(a)
     group = _resolve_group(device, devices)
     if group is None:
         if partition is not None:
@@ -229,6 +224,16 @@ def extract_linear_forest(
         coverage=cov,
         timings=timings,
     )
+
+
+def require_finite(a: CSRMatrix) -> None:
+    """Raise :class:`~repro.errors.FactorError` on any NaN/±inf value of ``a``."""
+    if not bool(np.isfinite(a.data).all()):
+        bad = int(np.count_nonzero(~np.isfinite(a.data)))
+        raise FactorError(
+            f"matrix has {bad} non-finite value(s) (NaN or ±inf); "
+            "linear-forest extraction needs finite weights"
+        )
 
 
 def _resolve_group(device, devices) -> DeviceGroup | None:

@@ -463,12 +463,20 @@ class BidirectionalScan:
 
         # Live state: one buffer per array.  The per-step gathers below
         # snapshot everything a launch reads before it writes, which is the
-        # compacted equivalent of the paper's ping-pong back buffer.
+        # compacted equivalent of the paper's ping-pong back buffer.  Every
+        # buffer is C-contiguous so the step loop can address it through a
+        # flat view (``np.array(copy=True)`` alone keeps Fortran order, and
+        # reshaping a Fortran array would silently copy and drop writes).
         q = self._q0.copy()
         payload = {
-            name: np.array(arr, copy=True)
+            name: np.array(arr, copy=True, order="C")
             for name, arr in operator.init(self.factor, graph).items()
         }
+        for name, arr in payload.items():
+            if arr.shape != q.shape:
+                raise ScanError(
+                    f"payload {name!r} has shape {arr.shape}, expected {q.shape}"
+                )
         names = tuple(payload)
 
         with trace_span(
@@ -505,12 +513,22 @@ class BidirectionalScan:
         n_steps: int,
         label: str,
     ) -> tuple[int, list[int], list[CompactionDecision]]:
-        """The butterfly step loop; mutates ``q``/``payload`` in place."""
+        """The butterfly step loop; mutates ``q``/``payload`` in place.
+
+        Lane ``L`` of vertex ``v`` lives at index ``2v + L`` of the flat
+        views of ``q`` and of every payload buffer, so every gather and
+        scatter below is a 1-D take or put.  The metered bytes are the
+        modeled GPU traffic (a launch reads the whole far tuple: the ``q``
+        pair and every payload pair), not the words the host happens to
+        touch.
+        """
         ids = self._ids
         shards = self.shards
         launches = 0
         active_history: list[int] = []
         decisions: list[CompactionDecision] = []
+        q_flat = q.reshape(-1)
+        flat = {name: payload[name].reshape(-1) for name in names}
         # Per-shard, per-lane candidate lists: supersets of the active
         # (unclamped) lanes.  The compaction policy decides when a list is
         # re-gathered down to exactly the active set; until then dead
@@ -518,7 +536,7 @@ class BidirectionalScan:
         # reads are the accounted dead-lane traffic the adaptive policy
         # trades off).
         cand = {s: [ids[lo:hi], ids[lo:hi]] for s, _, lo, hi in shards}
-        # one remote far tuple = the q pair + every payload field pair
+        # one far tuple = the q pair + every payload field pair
         tuple_bytes = 2 * q.dtype.itemsize + sum(
             2 * payload[name].dtype.itemsize for name in names
         )
@@ -529,15 +547,17 @@ class BidirectionalScan:
             work = []
             for s, dev, lo, hi in shards:
                 c0, c1 = cand[s]
-                alive = (q[c0, 0] >= 0, q[c1, 1] >= 0)
-                idx = (c0[alive[0]], c1[alive[1]])
-                work.append((s, dev, lo, hi, alive, idx))
+                idx = (
+                    c0.compress(q_flat.take(2 * c0) >= 0),
+                    c1.compress(q_flat.take(2 * c1 + 1) >= 0),
+                )
+                work.append((s, dev, lo, hi, idx))
             if not any(idx[0].size or idx[1].size for *_, idx in work):
                 break  # every lane is a path end — the scan has converged
 
             with ExitStack() as stack:
                 gathered = []
-                for s, dev, lo, hi, alive, idx in work:
+                for s, dev, lo, hi, idx in work:
                     n_active = int(idx[0].size + idx[1].size)
                     if n_active == 0:
                         continue  # this shard has converged; peers continue
@@ -556,15 +576,7 @@ class BidirectionalScan:
                         )
                         decisions.append(decision)
                         if decision.compact:
-                            dead_reads = ()
                             cand[s] = list(idx)
-                        else:
-                            dead_reads = (
-                                c0[~alive[0]],
-                                q[c0[~alive[0]], 0],
-                                c1[~alive[1]],
-                                q[c1[~alive[1]], 1],
-                            )
                     active_history.append(n_active)
                     kl = stack.enter_context(
                         dev.launch(
@@ -577,47 +589,56 @@ class BidirectionalScan:
                     if decision is not None:
                         record_decision(decision, engine="scan", launch=kl)
                         if not decision.compact:
-                            # dead candidates are streamed and skipped in-kernel
-                            kl.reads(*dead_reads)
+                            # dead candidates are streamed and skipped
+                            # in-kernel: one id and one marker word each
+                            kl.meter(read=n_dead * CAND_DEAD_BYTES)
                     # Gather phase, across ALL shards before any scatter:
-                    # snapshot the far tuples of every active lane (fancy
-                    # indexing copies), completing all reads of the step
-                    # before any write — the role of the ping-pong back
-                    # buffer, and the multi-device halo-exchange barrier.
+                    # snapshot the far tuples of every active lane and the
+                    # payload words they contribute, completing all reads of
+                    # the step before any write — the role of the ping-pong
+                    # back buffer, and the multi-device halo-exchange barrier.
                     for lane in (0, 1):
                         sel = idx[lane]
                         if sel.size == 0:
                             continue
-                        far = q[sel, lane]
-                        far_q = q[far]  # (m, 2) — the neighbour's snapshot
-                        far_p = {name: payload[name][far] for name in names}
-                        kl.reads(sel, far, far_q, *far_p.values())
+                        pos = 2 * sel + lane
+                        far = q_flat.take(pos)
+                        kl.reads(sel, far)
+                        kl.meter(read=sel.size * tuple_bytes)
                         if shards.exchanges:
                             shards.halo(s, far, tuple_bytes, "halo.scan")
-                        gathered.append((kl, lane, sel, far_q, far_p))
+                        # Alg. 3 lines 15-20: both tuple entries of the far
+                        # neighbour are inspected; the one that is not this
+                        # very vertex extends the segment.
+                        parts = []
+                        for j in (0, 1):
+                            far_j = q_flat.take(2 * far + j)
+                            keep = np.flatnonzero(far_j != sel)
+                            if keep.size == 0:
+                                continue
+                            src = 2 * far.take(keep) + j
+                            contribution = {
+                                name: flat[name].take(src) for name in names
+                            }
+                            parts.append(
+                                (pos.take(keep), far_j.take(keep), contribution)
+                            )
+                        gathered.append((kl, parts))
 
-                # Scatter phase: each shard writes only its own rows, lane 0
-                # only column 0 and lane 1 only column 1, so the in-place
-                # updates cannot alias a gather.
-                for kl, lane, sel, far_q, far_p in gathered:
-                    # Alg. 3 lines 15-20: both tuple entries of the far
-                    # neighbour are inspected; the one that is not this very
-                    # vertex extends the segment (sequential j = 0, 1
-                    # semantics: a second match overwrites the first).
-                    for j in (0, 1):
-                        extend = far_q[:, j] != ids[sel]
-                        sub = sel[extend]
-                        if sub.size == 0:
-                            continue
-                        current = {name: payload[name][sub, lane] for name in names}
+                # Scatter phase, in (lane, j = 0, 1) order: a far tuple that
+                # matches twice merges j = 0 and then j = 1 (sequential
+                # Alg. 3 semantics).  Each shard writes only its own rows and
+                # each lane only its own words, so the in-place updates
+                # cannot alias a gather.
+                for kl, parts in gathered:
+                    for dst, new_q, contribution in parts:
+                        current = {name: flat[name].take(dst) for name in names}
                         kl.reads(*current.values())
-                        contribution = {name: far_p[name][extend, j] for name in far_p}
                         merged = operator.combine(current, contribution)
                         for name in names:
-                            payload[name][sub, lane] = merged[name]
+                            flat[name][dst] = merged[name]
                             kl.writes(merged[name])
-                        new_q = far_q[extend, j]
-                        q[sub, lane] = new_q
+                        q_flat[dst] = new_q
                         kl.writes(new_q)
 
         return launches, active_history, decisions

@@ -121,6 +121,18 @@ class KernelLaunch:
         if self.enabled:
             self.bytes_written += _nbytes(arrays)
 
+    def meter(self, *, read: int = 0, written: int = 0) -> None:
+        """Register raw byte counts of modeled traffic with no host array.
+
+        For kernels whose host emulation touches less (or differently
+        shaped) data than the modeled device kernel moves: the scan reads
+        whole far tuples of which the host gathers only the matching words,
+        and the delta engine's fused launches stream region-sized buffers.
+        """
+        if self.enabled:
+            self.bytes_read += int(read)
+            self.bytes_written += int(written)
+
     def telemetry(
         self, *, active_lanes: int | None = None, total_lanes: int | None = None
     ) -> None:

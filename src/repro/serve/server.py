@@ -206,6 +206,10 @@ def request_key(op: str, fingerprint, original_digest: str, cfg: dict) -> str:
     return f"{op}:{fingerprint.key}:in={original_digest}:cfg={config_digest(cfg)}"
 
 
+#: Value dtypes an inline csr spec may carry (the pipeline's two precisions).
+_CSR_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def load_matrix(spec) -> CSRMatrix:
     """Materialize a request's ``matrix`` spec.
 
@@ -213,6 +217,8 @@ def load_matrix(spec) -> CSRMatrix:
     file; ``{"kind": "suite", "name": ..., "scale": ...}`` builds a bundled
     suite matrix; ``{"kind": "csr", "indptr": ..., "indices": ...,
     "data": ..., "n": ..., "dtype": ...}`` carries the matrix inline.
+    A suite ``scale`` must be finite and > 0 and an inline ``dtype`` must be
+    float32 or float64; anything else raises :class:`ConfigError`.
     """
     if not isinstance(spec, dict):
         raise ConfigError("request 'matrix' must be a JSON object with a 'kind'")
@@ -231,11 +237,21 @@ def load_matrix(spec) -> CSRMatrix:
             raise ConfigError(
                 f"unknown suite matrix {name!r} (valid: {sorted(SUITE)})"
             )
-        return build_matrix(name, scale=float(spec.get("scale", 1.0)))
+        try:
+            scale = float(spec.get("scale", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"suite 'scale' must be a number: {exc}") from exc
+        if not (np.isfinite(scale) and scale > 0):
+            raise ConfigError(f"suite 'scale' must be finite and > 0, got {scale}")
+        return build_matrix(name, scale=scale)
     if kind == "csr":
         try:
             n = int(spec["n"])
             dtype = np.dtype(spec.get("dtype", "float64"))
+            if dtype not in _CSR_DTYPES:
+                raise ConfigError(
+                    f"inline csr 'dtype' must be float32 or float64, got {dtype}"
+                )
             return CSRMatrix(
                 indptr=np.asarray(spec["indptr"], dtype=np.int64),
                 indices=np.asarray(spec["indices"], dtype=np.int64),

@@ -6,9 +6,9 @@ linear forest's adjacency matrix is tridiagonal.  This subpackage provides:
 
 * :mod:`~repro.sort.keys` — packing/unpacking of (path id, position) into a
   single 64-bit key.
-* :mod:`~repro.sort.radix` — a least-significant-bit *split* radix sort built
-  from the canonical GPU primitive: a stable 1-bit partition implemented with
-  two prefix sums per pass.
+* :mod:`~repro.sort.radix` — a least-significant-digit radix sort with 8-bit
+  digits: one stable counting pass (histogram, prefix sum, scatter) per
+  digit, as in CUB.
 """
 
 from .keys import pack_keys, unpack_keys

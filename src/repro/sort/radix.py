@@ -1,14 +1,16 @@
-"""Least-significant-bit split radix sort.
+"""Least-significant-digit radix sort with 8-bit digits.
 
-The GPU building block (Blelloch; used inside CUB's radix sort) is the stable
-1-bit *split*: elements with bit 0 keep their relative order and precede all
-elements with bit 1, with destinations computed from two prefix sums.  The
-full sort runs one split per key bit, low to high — stability of each pass
-makes the composite sort correct.
+The GPU building block (CUB's onesweep radix sort) is a stable counting pass
+over one multi-bit digit: a histogram of the digit values, a prefix sum over
+the buckets, and a stable scatter to each element's bucket position.  The
+full sort runs one such pass per 8-bit digit, low to high — stability of
+each pass makes the composite sort correct.  Here each pass is a stable
+``np.argsort`` of the digit (NumPy's stable sort of a one-byte key is itself
+a counting sort).
 
 Only unsigned integer keys are supported (the linear-forest permutation packs
-its key into uint64, see :mod:`repro.sort.keys`); passes above the highest set
-bit of the input are skipped.
+its key into uint64, see :mod:`repro.sort.keys`); digits above the highest
+set bit of the input are skipped.
 """
 
 from __future__ import annotations
@@ -17,26 +19,10 @@ import numpy as np
 
 from ..errors import ShapeError
 
-__all__ = ["radix_argsort", "radix_sort", "split_by_bit"]
+__all__ = ["radix_argsort", "radix_sort"]
 
-
-def split_by_bit(keys: np.ndarray, bit: int, order: np.ndarray) -> np.ndarray:
-    """One stable 1-bit partition pass.
-
-    ``order`` is the current permutation (positions into ``keys``); the
-    return value is the permutation after stably moving all elements with the
-    given key bit clear before all elements with it set.
-    """
-    bits = (keys[order] >> np.uint64(bit)) & np.uint64(1)
-    zeros = bits == 0
-    n_zeros = int(np.count_nonzero(zeros))
-    dest = np.empty(order.size, dtype=np.int64)
-    # prefix sums give stable destinations for both partitions
-    dest[zeros] = np.arange(n_zeros, dtype=np.int64)
-    dest[~zeros] = n_zeros + np.arange(order.size - n_zeros, dtype=np.int64)
-    out = np.empty_like(order)
-    out[dest] = order
-    return out
+#: Bits per radix digit (one counting pass each).
+DIGIT_BITS = 8
 
 
 def radix_argsort(keys: np.ndarray) -> np.ndarray:
@@ -56,10 +42,11 @@ def radix_argsort(keys: np.ndarray) -> np.ndarray:
     order = np.arange(keys.size, dtype=np.int64)
     if keys.size == 0:
         return order
-    max_key = int(keys.max())
-    n_bits = max(1, max_key.bit_length())
-    for bit in range(n_bits):
-        order = split_by_bit(keys, bit, order)
+    n_bits = max(1, int(keys.max()).bit_length())
+    mask = np.uint64((1 << DIGIT_BITS) - 1)
+    for shift in range(0, n_bits, DIGIT_BITS):
+        digit = ((keys.take(order) >> np.uint64(shift)) & mask).astype(np.uint8)
+        order = order.take(np.argsort(digit, kind="stable"))
     return order
 
 

@@ -13,9 +13,9 @@ from repro.delta import (
 )
 from repro.core.factor import ParallelFactorConfig
 from repro.device import Device, DeviceGroup
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError, FactorError, ShapeError
 from repro.graphs import aniso2
-from repro.sparse import from_edges
+from repro.sparse import CSRMatrix, from_edges
 
 
 def chain(n: int, weight: float = 2.0):
@@ -296,6 +296,22 @@ def test_mismatched_shapes_rejected():
     previous = extract_linear_forest(a, device=Device(record=False))
     with pytest.raises(ShapeError, match="vertices"):
         apply_edits(previous, EditBatch.single(0, 9, 3.0), aniso2(10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_refused(bad):
+    # the warm path used to return fallback=None and coverage=nan here,
+    # where a from-scratch extraction of the same matrix raises
+    a = aniso2(64)
+    previous = extract_linear_forest(a, device=Device(record=False))
+    data = a.data.copy()
+    data[-3] = bad
+    poisoned = CSRMatrix(a.indptr, a.indices, data, a.shape)
+    with pytest.raises(FactorError, match="non-finite"):
+        apply_edits(
+            previous, EditBatch.single(0, 1, 2.0), poisoned,
+            device=Device(record=False),
+        )
 
 
 def test_n_must_be_two():

@@ -33,7 +33,7 @@ from repro.core.scan import (
     operator_label,
     scan_steps,
 )
-from repro.device import Device
+from repro.device import Device, DeviceGroup
 from repro.errors import ScanError
 from repro.graphs import build_matrix, random_02_factor
 from repro.sparse import from_edges, prepare_graph
@@ -101,6 +101,17 @@ def test_equivalence_single_giant_path():
     assert new.launches == old.launches == scan_steps(n) == 7
 
 
+# Order-sensitive operators matter here: on a short cycle a far tuple can
+# match the current vertex twice or never, so the j = 0 then j = 1 merge
+# order of Alg. 3 lines 15-20 shows in the non-idempotent payloads.
+ONE_CYCLE_OPERATORS = {
+    "min-edge": MinEdgeOperator,
+    "add": AddOperator,
+    "weighted-add": WeightedAddOperator,
+    "fused": lambda: FusedOperator((MinEdgeOperator(), AddOperator())),
+}
+
+
 @pytest.mark.parametrize("length", [3, 4, 8, 13, 16, 31])
 def test_equivalence_all_one_cycle(length):
     rng = np.random.default_rng(length)
@@ -108,11 +119,57 @@ def test_equivalence_all_one_cycle(length):
     v = (u + 1) % length
     graph = prepare_graph(from_edges(length, u, v, rng.permutation(length) + 1.0))
     factor = Factor.from_edge_list(length, 2, u, v)
-    new = BidirectionalScan(factor).run(MinEdgeOperator(), graph)
-    old = ReferenceScan(factor).run(MinEdgeOperator(), graph)
+    for make in ONE_CYCLE_OPERATORS.values():
+        old = ReferenceScan(factor).run(make(), graph)
+        # cycle lanes never clamp — no early exit
+        assert old.launches == scan_steps(length)
+        for devices in (1, 3):
+            device = Device() if devices == 1 else DeviceGroup(devices)
+            new = BidirectionalScan(factor, device=device).run(make(), graph)
+            _assert_results_identical(new, old)
+            assert new.launches == devices * old.launches  # on every shard
+
+
+class _FortranInit:
+    """Wraps an operator so that ``init`` hands back Fortran-ordered arrays."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.label = operator_label(inner)
+
+    def init(self, factor, graph):
+        return {
+            name: np.asfortranarray(arr)
+            for name, arr in self.inner.init(factor, graph).items()
+        }
+
+    def combine(self, current, far):
+        return self.inner.combine(current, far)
+
+
+@pytest.mark.parametrize("devices", [1, 3])
+def test_fortran_ordered_payload_matches_reference(rng, devices):
+    gt = random_02_factor(60, rng, cycle_fraction=0.5)
+    graph = _weighted(gt.factor, rng)
+    fused = lambda: FusedOperator((MinEdgeOperator(), AddOperator()))  # noqa: E731
+    assert not fused().init(gt.factor, graph)["r"].flags.f_contiguous
+    assert _FortranInit(fused()).init(gt.factor, graph)["r"].flags.f_contiguous
+    device = Device() if devices == 1 else DeviceGroup(devices)
+    new = BidirectionalScan(gt.factor, device=device).run(
+        _FortranInit(fused()), graph
+    )
+    old = ReferenceScan(gt.factor).run(fused(), graph)
     _assert_results_identical(new, old)
-    # cycle lanes never clamp — no early exit
-    assert new.launches == old.launches == scan_steps(length)
+
+
+def test_payload_shape_is_validated():
+    class WrongShape(AddOperator):
+        def init(self, factor, graph):
+            return {"r": np.ones(factor.n_vertices, dtype=np.int64)}
+
+    factor = Factor.from_edge_list(4, 2, [0, 1, 2], [1, 2, 3])
+    with pytest.raises(ScanError, match="shape"):
+        BidirectionalScan(factor).run(WrongShape())
 
 
 def test_mid_scan_steps_are_identical(rng):
@@ -122,6 +179,81 @@ def test_mid_scan_steps_are_identical(rng):
         new = BidirectionalScan(gt.factor).run(AddOperator(), steps=steps)
         old = ReferenceScan(gt.factor).run(AddOperator(), steps=steps)
         _assert_results_identical(new, old)
+
+
+# ---------------------------------------------------------------------------
+# modeled traffic: the metered bytes are the GPU kernel's, not the host's
+# ---------------------------------------------------------------------------
+
+#: int64 words: a candidate id, its far pointer, a q entry
+WORD = 8
+#: the fused (min-edge + add) payload: w (float64), u, v, r (int64)
+PAYLOAD_WORD = 4 * WORD
+#: one far tuple: the q pair plus every payload pair
+FAR_TUPLE = 2 * WORD + 2 * PAYLOAD_WORD
+#: a retained dead candidate: its id and its clamped marker
+DEAD = 2 * WORD
+
+
+def _modeled_traffic(factor, policy):
+    """Per-launch (bytes_read, bytes_written) of the scan, from a plain
+    sequential model of Algorithm 3.
+
+    Per active lane: ``sel`` + ``far`` + the whole far tuple are read.  Per
+    matching far-tuple entry ``j``: the current payload word is read, the
+    merged payload word and the new ``q`` entry are written.  Under a policy
+    that keeps dead candidates, each one costs :data:`DEAD` read bytes.
+    """
+    n = factor.n_vertices
+    q = [
+        [int(factor.neighbors[v, lane]) if factor.neighbors[v, lane] >= 0 else -(v + 1)
+         for lane in (0, 1)]
+        for v in range(n)
+    ]
+    cand = [list(range(n)), list(range(n))]
+    out = []
+    for _ in range(scan_steps(n)):
+        alive = [[v for v in cand[lane] if q[v][lane] >= 0] for lane in (0, 1)]
+        if not (alive[0] or alive[1]):
+            break
+        dead = len(cand[0]) + len(cand[1]) - len(alive[0]) - len(alive[1])
+        read = written = 0
+        if dead and policy == "eager":
+            cand = alive
+        else:
+            read += dead * DEAD
+        snapshot = [row[:] for row in q]
+        for lane in (0, 1):
+            for v in alive[lane]:
+                w = snapshot[v][lane]
+                read += 2 * WORD + FAR_TUPLE
+                for j in (0, 1):
+                    if snapshot[w][j] != v:
+                        read += PAYLOAD_WORD
+                        written += PAYLOAD_WORD + WORD
+                        q[v][lane] = snapshot[w][j]
+        out.append((read, written))
+    return out
+
+
+@pytest.mark.parametrize("policy", ["eager", "never"])
+def test_scan_traffic_is_the_modeled_kernel_traffic(policy):
+    # one path (0..4), one cycle (5..8), one isolated vertex (9)
+    u = np.array([0, 1, 2, 3, 5, 6, 7, 8])
+    v = np.array([1, 2, 3, 4, 6, 7, 8, 5])
+    factor = Factor.from_edge_list(10, 2, u, v)
+    graph = prepare_graph(from_edges(10, u, v, np.arange(1.0, 9.0)))
+    dev = Device()
+    BidirectionalScan(factor, device=dev, compaction=policy).run(
+        FusedOperator((MinEdgeOperator(), AddOperator())), graph
+    )
+    metered = [
+        (rec.bytes_read, rec.bytes_written)
+        for rec in dev.records("bidirectional-scan")
+    ]
+    expected = _modeled_traffic(factor, policy)
+    assert len(expected) == scan_steps(10)  # the cycle never clamps
+    assert metered == expected
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,12 @@ class TestLoadMatrix:
         a = load_matrix({"kind": "suite", "name": "aniso2", "scale": 0.25})
         assert a.n_rows > 0
 
+    @pytest.mark.parametrize("scale", [-1, 0, float("nan"), float("inf"), "big"])
+    def test_suite_scale_must_be_finite_and_positive(self, scale):
+        # -1 and 0 used to build a 9x9 matrix; NaN escaped as a bare ValueError
+        with pytest.raises(ConfigError, match="scale"):
+            load_matrix({"kind": "suite", "name": "aniso2", "scale": scale})
+
     def test_unknown_suite_name(self):
         with pytest.raises(ConfigError, match="unknown suite matrix"):
             load_matrix({"kind": "suite", "name": "nope"})
@@ -124,6 +130,25 @@ class TestLoadMatrix:
         a = load_matrix(_csr_spec(matrix))
         assert a.n_rows == matrix.n_rows
         assert matrix_digest(a) == matrix_digest(matrix)
+
+    def test_csr_kind_keeps_float32(self, matrix):
+        a = load_matrix(_csr_spec(matrix.astype(np.float32)))
+        assert a.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", ["object", "complex128", "int64", "float16"])
+    def test_csr_dtype_must_be_float32_or_float64(self, matrix, dtype):
+        # object and complex used to be coerced to float64 (complex input
+        # dropping its imaginary part with a ComplexWarning)
+        spec = _csr_spec(matrix)
+        spec["dtype"] = dtype
+        with pytest.raises(ConfigError, match="float32 or float64"):
+            load_matrix(spec)
+
+    def test_unknown_csr_dtype_is_malformed(self, matrix):
+        spec = _csr_spec(matrix)
+        spec["dtype"] = "no-such-dtype"
+        with pytest.raises(ConfigError, match="malformed"):
+            load_matrix(spec)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown matrix kind"):

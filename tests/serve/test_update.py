@@ -173,6 +173,18 @@ def test_malformed_edits_are_a_request_error(server, matrix):
     assert server.handle_request({"op": "ping"})["ok"] is True
 
 
+def test_non_finite_matrix_update_is_refused(server, matrix):
+    server.handle_request({"op": "extract", "id": 1, "matrix": _csr_spec(matrix)})
+    spec = _csr_spec(matrix)
+    spec["data"][-3] = float("nan")
+    resp = server.handle_request(
+        {"op": "update", "id": 2, "matrix": spec, "edits": EDITS}
+    )
+    assert resp["ok"] is False
+    assert resp["error"]["type"] == "FactorError"
+    assert "non-finite" in resp["error"]["message"]
+
+
 def test_unknown_op_error_lists_update(server):
     resp = server.handle_request({"op": "nope"})
     assert "update" in resp["error"]["message"]

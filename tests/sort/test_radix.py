@@ -1,11 +1,10 @@
-"""Unit tests for the split radix sort."""
+"""Unit tests for the 8-bit-digit LSD radix sort."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
 from repro.sort import radix_argsort, radix_sort
-from repro.sort.radix import split_by_bit
 
 
 def test_empty():
@@ -89,9 +88,11 @@ def test_radix_sort_value_shape_mismatch():
         radix_sort(np.array([1, 2], dtype=np.uint64), np.ones(3))
 
 
-def test_split_by_bit_is_stable_partition():
-    keys = np.array([2, 3, 0, 1, 2], dtype=np.uint64)
-    order = np.arange(5, dtype=np.int64)
-    out = split_by_bit(keys, 0, order)
-    # even keys (positions 0, 2, 4) first, then odd (1, 3), original order kept
-    np.testing.assert_array_equal(out, [0, 2, 4, 1, 3])
+def test_stability_across_every_digit(rng):
+    # few distinct values per byte, spread over all eight digits, so every
+    # pass sees ties that only the earlier (lower-digit) passes order
+    digits = rng.integers(0, 3, (400, 8)).astype(np.uint64)
+    keys = (digits << (np.arange(8, dtype=np.uint64) * np.uint64(8))).sum(
+        axis=1, dtype=np.uint64
+    )
+    np.testing.assert_array_equal(radix_argsort(keys), np.argsort(keys, kind="stable"))
