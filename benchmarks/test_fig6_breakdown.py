@@ -10,6 +10,7 @@ import pytest
 from repro.analysis import render_table, series_to_tsv
 from repro.core import ParallelFactorConfig, extract_linear_forest
 from repro.core.pipeline import PHASE_EXTRACT, PHASE_FACTOR, PHASE_SCANS
+from repro.obs import phase_fractions
 
 from .conftest import bench_suite, emit
 
@@ -26,8 +27,8 @@ def test_fig6_setup_breakdown(results_dir, matrices, benchmark):
         result = extract_linear_forest(
             a, ParallelFactorConfig(n=2, max_iterations=5, m=5, k_m=0)
         )
-        fr = result.timings.fractions()
-        total_ms = result.timings.total_seconds * 1e3
+        fr = phase_fractions(result.timings)
+        total_ms = sum(result.timings.values()) * 1e3
         rows.append([
             name,
             100.0 * fr.get(PHASE_FACTOR, 0.0),

@@ -77,6 +77,7 @@ from .obs import (
     Tracer,
     build_run_report,
     collect_run_metrics,
+    phase_fractions,
     use_metrics,
     use_tracer,
     write_run_report,
@@ -203,7 +204,7 @@ def _cmd_extract(args) -> int:
     stats = forest_statistics(a, result.forest, result.paths)
     print(f"paths: {stats.summary()}")
     print(f"cycles broken: {result.broken.n_cycles}")
-    for phase, frac in result.timings.fractions().items():
+    for phase, frac in phase_fractions(result.timings).items():
         print(f"  {phase}: {100 * frac:.1f}%")
     if args.perm_out:
         np.savetxt(args.perm_out, result.perm, fmt="%d")

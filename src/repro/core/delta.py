@@ -63,9 +63,8 @@ import numpy as np
 
 from .._validation import INDEX_DTYPE, require
 from ..device.device import Device, DeviceGroup, default_device
-from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, ShapeError
-from ..obs import Tracer, current_metrics, trace_span
+from ..obs import Tracer, current_metrics, current_tracer, trace_span
 from ..sparse.build import prepare_graph
 from ..sparse.coo import COOMatrix
 from ..sparse.csr import CSRMatrix
@@ -82,6 +81,7 @@ from .pipeline import (
     PHASE_SCANS,
     LinearForestResult,
     extract_linear_forest,
+    phase_seconds,
     require_finite,
 )
 from .structures import NO_PARTNER, Factor
@@ -659,10 +659,10 @@ def apply_edits(
         )
 
     device = device or default_device()
-    timings = TimingBreakdown()
+    tracer = current_tracer() or Tracer("apply-edits")
     radius = invalidation_radius(config)
 
-    with trace_span(
+    with tracer.span(
         "apply-edits",
         category="run",
         n_vertices=a.n_rows,
@@ -670,13 +670,12 @@ def apply_edits(
         radius=radius,
         dtype=str(a_new.data.dtype),
     ) as root:
-        with timings.phase(PHASE_FACTOR):
+        with tracer.span(PHASE_FACTOR, category="phase") as factor_phase:
             graph_new = prepare_graph(a_new)
             from .frontier import resolve_compaction
 
             policy = resolve_compaction(compaction, graph=graph_new)
-            if root is not None:
-                root.attributes["compaction"] = policy.name
+            root.attributes["compaction"] = policy.name
 
             touched = edits.touched
             with trace_span("delta.frontier", category="stage") as span, device.launch(
@@ -696,8 +695,7 @@ def apply_edits(
                     span.attributes.update(region=int(members.size), core=int(core.size))
 
             if members.size > max_region_fraction * a.n_rows:
-                if root is not None:
-                    root.attributes["fallback"] = "region"
+                root.attributes["fallback"] = "region"
                 return _fallback(
                     edits, a_new, config, "region",
                     device=device, compaction=policy,
@@ -741,7 +739,7 @@ def apply_edits(
                 )
             raw_factor = Factor(raw)
 
-        with timings.phase(PHASE_SCANS):
+        with tracer.span(PHASE_SCANS, category="phase") as scans_phase:
             # components to re-walk: everything sharing an old path with a
             # touched or changed vertex.  The set is closed under the *new*
             # factor too: a new factor edge only ever joins two changed rows.
@@ -763,7 +761,7 @@ def apply_edits(
             paths = PathInfo(path_id=path_id, position=position)
             perm = forest_permutation(paths)
 
-        with timings.phase(PHASE_EXTRACT):
+        with tracer.span(PHASE_EXTRACT, category="phase") as extract_phase:
             with trace_span("delta.extract", category="stage"), device.launch(
                 "delta.extract"
             ) as kl:
@@ -776,13 +774,12 @@ def apply_edits(
                 )
 
         cov = coverage_of(a_new, forest)
-        if root is not None:
-            root.attributes.update(
-                coverage=cov,
-                region=int(members.size),
-                changed=int(changed.size),
-                rescanned=n_rescanned,
-            )
+        root.attributes.update(
+            coverage=cov,
+            region=int(members.size),
+            changed=int(changed.size),
+            rescanned=n_rescanned,
+        )
 
     stats = DeltaStats(
         n_edits=len(edits),
@@ -825,7 +822,7 @@ def apply_edits(
         perm=perm,
         tridiagonal=tridiagonal,
         coverage=cov,
-        timings=timings,
+        timings=phase_seconds(factor_phase, scans_phase, extract_phase),
     )
     return DeltaResult(result=result, matrix=a_new, stats=stats)
 

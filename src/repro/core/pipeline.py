@@ -2,9 +2,10 @@
 
 The four steps of Section 3.3 — [0,2]-factor, cycle breaking, path
 identification, permutation + coefficient extraction — orchestrated into one
-call.  Phase wall-clock times are recorded under the same labels as the
-paper's Figure 6 time breakdown ("[0,2]-factor computation", "bidirectional
-scans", "coefficient extraction").
+call.  Each phase runs inside a ``phase`` span named after the paper's
+Figure 6 time breakdown ("[0,2]-factor computation", "bidirectional scans",
+"coefficient extraction"); the result's ``timings`` are those spans'
+durations.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..device.device import Device, DeviceGroup, default_device
-from ..device.profiler import TimingBreakdown
 from ..errors import ConfigError, FactorError
-from ..obs import current_metrics, trace_span
+from ..obs import Span, Tracer, current_metrics, current_tracer
 from ..sparse.build import prepare_graph
 from ..sparse.csr import CSRMatrix
 from .coverage import coverage as coverage_of
@@ -58,7 +58,8 @@ class LinearForestResult:
     coverage:
         c_π of the linear forest with respect to the original matrix.
     timings:
-        Wall-clock breakdown over the three Figure 6 phases.
+        Wall-clock seconds of each of the three Figure 6 phases (phase name
+        → the duration of that phase's span).
     """
 
     graph: CSRMatrix
@@ -68,7 +69,7 @@ class LinearForestResult:
     perm: np.ndarray
     tridiagonal: TridiagonalSystem
     coverage: float
-    timings: TimingBreakdown
+    timings: dict[str, float]
 
     @property
     def forest(self) -> Factor:
@@ -142,11 +143,13 @@ def extract_linear_forest(
         if partition is not None:
             raise ConfigError("partition= requires a DeviceGroup (or devices=)")
         device = device or default_device()
-    timings = TimingBreakdown()
+    # untraced runs time their phases on a run-local tracer that is not
+    # installed as ambient, so their kernel launches stay span-free
+    tracer = current_tracer() or Tracer("extract-linear-forest")
     metrics = current_metrics() if group is not None else None
     halo_before = group.interconnect.total_bytes() if group is not None else 0
 
-    with trace_span(
+    with tracer.span(
         "extract-linear-forest",
         category="run",
         n_vertices=a.n_rows,
@@ -154,7 +157,7 @@ def extract_linear_forest(
         merged_scan=merged_scan,
         dtype=str(a.data.dtype),
     ) as root:
-        with timings.phase(PHASE_FACTOR):
+        with tracer.span(PHASE_FACTOR, category="phase") as factor_phase:
             graph = prepared_graph if prepared_graph is not None else prepare_graph(a)
             if group is not None:
                 # one layout for every engine of the run
@@ -166,14 +169,13 @@ def extract_linear_forest(
             # fingerprints it against the tuning cache, and every engine
             # below then shares the one concrete policy instance
             policy = resolve_compaction(compaction, graph=graph)
-            if root is not None:
-                root.attributes["compaction"] = policy.name
+            root.attributes["compaction"] = policy.name
             factor_result = parallel_factor(
                 graph, config, device=device, compaction=policy,
                 charge_ids=charge_ids,
             )
 
-        with timings.phase(PHASE_SCANS):
+        with tracer.span(PHASE_SCANS, category="phase") as scans_phase:
             if merged_scan:
                 scan = BidirectionalScan(
                     factor_result.factor, device=device, compaction=policy
@@ -194,25 +196,21 @@ def extract_linear_forest(
                 paths = identify_paths(broken.forest, device=device, compaction=policy)
             perm = forest_permutation(paths)
 
-        with timings.phase(PHASE_EXTRACT):
+        with tracer.span(PHASE_EXTRACT, category="phase") as extract_phase:
             tridiagonal = extract_tridiagonal(a, broken.forest, perm, device=device)
 
         cov = coverage_of(a, broken.forest)
-        if root is not None:
-            root.attributes.update(
-                coverage=cov,
-                n_cycles=broken.n_cycles,
-                n_paths=paths.n_paths,
-                factor_iterations=factor_result.iterations,
-            )
+        root.attributes.update(
+            coverage=cov,
+            n_cycles=broken.n_cycles,
+            n_paths=paths.n_paths,
+            factor_iterations=factor_result.iterations,
+        )
         if group is not None:
             halo_bytes = group.interconnect.total_bytes() - halo_before
             if metrics is not None:
                 metrics.counter("shard.halo.bytes").inc(halo_bytes)
-            if root is not None:
-                root.attributes.update(
-                    devices=len(group), interconnect_bytes=halo_bytes
-                )
+            root.attributes.update(devices=len(group), interconnect_bytes=halo_bytes)
 
     return LinearForestResult(
         graph=graph,
@@ -222,8 +220,13 @@ def extract_linear_forest(
         perm=perm,
         tridiagonal=tridiagonal,
         coverage=cov,
-        timings=timings,
+        timings=phase_seconds(factor_phase, scans_phase, extract_phase),
     )
+
+
+def phase_seconds(*phases: Span) -> dict[str, float]:
+    """Phase name → duration of each closed ``phase`` span."""
+    return {span.name: span.seconds for span in phases}
 
 
 def require_finite(a: CSRMatrix) -> None:

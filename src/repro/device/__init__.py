@@ -18,8 +18,6 @@ the hardware:
 * :class:`~repro.device.costmodel.CostModel` — a roofline model over the
   metered traffic (default bandwidth matches an RTX 2080 Ti) used by the
   performance benchmarks (Figures 3, 5, 6; Table 2).
-* :mod:`~repro.device.profiler` — wall-clock phase timers for the setup-time
-  breakdown of Figure 6.
 """
 
 from .buffers import PingPong
@@ -35,7 +33,6 @@ from .costmodel import (
 )
 from .device import Device, DeviceGroup, KernelLaunch, KernelRecord, default_device
 from .interconnect import Interconnect, TransferRecord
-from .profiler import PhaseTimer, TimingBreakdown
 from .trace import KernelSummary, render_convergence, render_trace, summarize
 
 __all__ = [
@@ -47,11 +44,9 @@ __all__ = [
     "KernelRecord",
     "KernelSummary",
     "NVLINK_BANDWIDTH_GBS",
-    "PhaseTimer",
     "PingPong",
     "PropositionTraffic",
     "RTX_2080_TI_BANDWIDTH_GBS",
-    "TimingBreakdown",
     "TransferRecord",
     "default_device",
     "halo_traffic",

@@ -1,26 +1,27 @@
 """Kernel-launch accounting for the simulated device.
 
 Every data-parallel step of the paper's algorithms is executed through
-:meth:`Device.launch`.  The launch records
+:meth:`Device.launch`.  Each launch opens one ``kernel`` span on a
+:class:`~repro.obs.tracer.Tracer` and closes it with
 
 * which arrays were read and written and how many bytes that moved through
   (simulated) global memory, mirroring the traffic analysis of Table 2 of the
   paper, and
-* the wall-clock time of the vectorized NumPy body, which is the "real"
-  measurement used by the performance benchmarks, and
 * optional *convergence telemetry*: how many scan lanes were still active
   when the launch fired (the frontier size of the convergence-aware
   bidirectional scan), against the total lane count.
 
-Records survive kernel failures: a body that raises still leaves its
-:class:`KernelRecord` in the log (with the time spent up to the exception),
-so a partially failed run keeps a truthful Figure-6 style breakdown.
+The span's duration is the launch's wall-clock time: the tracer is the only
+clock, and a :class:`KernelRecord` is a view over one closed span
+(:meth:`KernelRecord.from_span`).  The span goes to the device's
+``tracer=`` when one was passed, else to the ambient tracer installed with
+:func:`repro.obs.use_tracer` (nested under the caller's phase/stage spans),
+else — on a recording device — to a tracer of the device's own.
 
-When a :class:`~repro.obs.tracer.Tracer` is active (installed with
-:func:`repro.obs.use_tracer`, or passed to the device), every launch also
-opens a ``kernel`` span nested under the caller's phase/stage spans, closed
-with the launch's bytes, telemetry and — on a raising body — an ``error``
-attribute.  Without a tracer the span path costs one ``None`` check.
+Records survive kernel failures: a body that raises still closes its span
+(with the time spent up to the exception and an ``error`` attribute naming
+the exception type), so a partially failed run keeps a truthful Figure-6
+style breakdown.
 
 The device does not try to emulate warps or shared memory — the algorithms in
 the paper are specified at the granularity of whole kernel launches over all
@@ -30,17 +31,22 @@ semantics.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..obs.tracer import Tracer, current_tracer
+from ..obs.tracer import Span, Tracer, current_tracer
 from .interconnect import Interconnect
 
 __all__ = ["Device", "DeviceGroup", "KernelLaunch", "KernelRecord", "default_device"]
+
+
+#: Span attributes owned by the launch accounting; notes cannot shadow them.
+_ACCOUNTING_KEYS = frozenset(
+    {"bytes_read", "bytes_written", "active_lanes", "total_lanes", "error"}
+)
 
 
 def _nbytes(arrays: Iterable[np.ndarray]) -> int:
@@ -66,6 +72,25 @@ class KernelRecord:
     #: Free-form annotations attached by the kernel body (e.g. the per-round
     #: compaction decision of the frontier engines).  Empty for plain kernels.
     notes: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_span(cls, span: Span, launch_index: int) -> "KernelRecord":
+        """The record of one ``kernel`` span, as written by :meth:`Device.launch`.
+
+        ``seconds`` is the span's duration (0 while it is still open);
+        every attribute other than the launch accounting is a note.
+        """
+        at = span.attributes
+        return cls(
+            name=span.name,
+            bytes_read=int(at.get("bytes_read", 0)),
+            bytes_written=int(at.get("bytes_written", 0)),
+            seconds=span.seconds or 0.0,
+            launch_index=launch_index,
+            active_lanes=at.get("active_lanes"),
+            total_lanes=at.get("total_lanes"),
+            notes={k: v for k, v in at.items() if k not in _ACCOUNTING_KEYS},
+        )
 
     @property
     def bytes_total(self) -> int:
@@ -151,10 +176,6 @@ class KernelLaunch:
 #: Shared inert handle for non-recording devices.
 _DISABLED_LAUNCH = KernelLaunch(enabled=False)
 
-#: Span attributes owned by the launch accounting; notes cannot shadow them.
-_RESERVED_SPAN_KEYS = frozenset(
-    {"seconds", "bytes_read", "bytes_written", "active_lanes", "total_lanes", "error"}
-)
 
 
 class Device:
@@ -170,7 +191,8 @@ class Device:
     tracer:
         Span sink for the launches.  When ``None`` (the default), the
         ambient tracer installed with :func:`repro.obs.use_tracer` is used
-        — and when none is installed either, no spans are recorded.
+        — and when none is installed either, a recording device keeps its
+        spans on a tracer of its own (a non-recording one records nothing).
     """
 
     def __init__(
@@ -182,10 +204,9 @@ class Device:
         self.name = name
         self.record = record
         self.tracer = tracer
-        self.kernels: list[KernelRecord] = []
-
-    def _span_sink(self) -> Tracer | None:
-        return self.tracer if self.tracer is not None else current_tracer()
+        self._own_tracer = Tracer(name)
+        #: This device's closed kernel spans, in launch order.
+        self._spans: list[Span] = []
 
     # -- launching ---------------------------------------------------------
     @contextmanager
@@ -202,75 +223,66 @@ class Device:
 
         The body of the ``with`` block is the kernel; ``reads``/``writes``
         declare the global-memory buffers it touches.  Bytes are metered from
-        the declared arrays, wall-clock time from the block itself.  The
-        yielded :class:`KernelLaunch` lets the body register buffers whose
-        size is only known mid-kernel, and attach frontier telemetry.
+        the declared arrays, wall-clock time is the duration of the launch's
+        ``kernel`` span.  The yielded :class:`KernelLaunch` lets the body
+        register buffers whose size is only known mid-kernel, and attach
+        frontier telemetry.
 
-        The record is written even when the body raises — the exception
-        still propagates, but timing and traffic of the failed launch stay
-        in the log, and the launch's span (when a tracer is active) closes
-        with an ``error`` attribute naming the exception type.
+        The span is closed even when the body raises — the exception still
+        propagates, but timing and traffic of the failed launch stay in the
+        log, and the span carries an ``error`` attribute naming the
+        exception type.
         """
-        tracer = self._span_sink()
+        tracer = self.tracer if self.tracer is not None else current_tracer()
         if not self.record and tracer is None:
             yield _DISABLED_LAUNCH
             return
         if not self.record:
-            # tracing-only launch: time the body, no byte metering
+            # tracing-only launch: a span, no byte metering
             with tracer.span(name, category="kernel"):
                 yield _DISABLED_LAUNCH
             return
+        if tracer is None:
+            tracer = self._own_tracer
         handle = KernelLaunch(active_lanes=active_lanes, total_lanes=total_lanes)
         handle.bytes_read = _nbytes(reads)
         handle.bytes_written = _nbytes(writes)
-        span = tracer.start_span(name, category="kernel") if tracer else None
+        span = tracer.start_span(name, category="kernel")
         error = None
-        start = time.perf_counter()
         try:
             yield handle
         except BaseException as exc:
             error = type(exc).__name__
             raise
         finally:
-            seconds = time.perf_counter() - start
-            self.kernels.append(
-                KernelRecord(
-                    name=name,
-                    bytes_read=handle.bytes_read,
-                    bytes_written=handle.bytes_written,
-                    seconds=seconds,
-                    launch_index=len(self.kernels),
-                    active_lanes=handle.active_lanes,
-                    total_lanes=handle.total_lanes,
-                    notes=dict(handle.notes),
-                )
+            # Notes ride the span as extra attributes; the accounting keys
+            # always win on collision.
+            extra = {k: v for k, v in handle.notes.items() if k not in _ACCOUNTING_KEYS}
+            tracer.end_span(
+                span,
+                bytes_read=handle.bytes_read,
+                bytes_written=handle.bytes_written,
+                active_lanes=handle.active_lanes,
+                total_lanes=handle.total_lanes,
+                error=error,
+                **extra,
             )
-            if span is not None:
-                # Notes ride the span as extra attributes; the fixed
-                # accounting keys always win on collision.
-                extra = {
-                    k: v for k, v in handle.notes.items() if k not in _RESERVED_SPAN_KEYS
-                }
-                tracer.end_span(
-                    span,
-                    seconds=seconds,
-                    bytes_read=handle.bytes_read,
-                    bytes_written=handle.bytes_written,
-                    active_lanes=handle.active_lanes,
-                    total_lanes=handle.total_lanes,
-                    error=error,
-                    **extra,
-                )
+            self._spans.append(span)
 
     # -- queries -----------------------------------------------------------
     @property
+    def kernels(self) -> list[KernelRecord]:
+        """One record per launch, in launch order, built from the spans."""
+        return [KernelRecord.from_span(span, i) for i, span in enumerate(self._spans)]
+
+    @property
     def launch_count(self) -> int:
-        return len(self.kernels)
+        return len(self._spans)
 
     def records(self, name_prefix: str | None = None) -> list[KernelRecord]:
         """All launch records, optionally filtered by name prefix."""
         if name_prefix is None:
-            return list(self.kernels)
+            return self.kernels
         return [k for k in self.kernels if k.name.startswith(name_prefix)]
 
     def total_bytes(self, name_prefix: str | None = None) -> int:
@@ -299,7 +311,8 @@ class Device:
         ]
 
     def reset(self) -> None:
-        self.kernels.clear()
+        self._spans.clear()
+        self._own_tracer = Tracer(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Device(name={self.name!r}, launches={self.launch_count})"

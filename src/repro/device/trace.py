@@ -11,9 +11,9 @@ Every renderer here is a *view over the same span stream*: the functions
 accept either a :class:`~repro.device.device.Device` (whose launch log is
 one :class:`KernelRecord` per launch) or a
 :class:`~repro.obs.tracer.Tracer` (whose ``kernel``-category spans carry
-the identical bytes/seconds/telemetry attributes, written by
-:meth:`Device.launch`).  Both sources reconstruct the same records, so the
-text tables, the Chrome trace export and the
+the bytes/telemetry attributes written by :meth:`Device.launch`).  Both
+sources build their records with :meth:`KernelRecord.from_span` from the
+same spans, so the text tables, the Chrome trace export and the
 :func:`repro.obs.build_run_report` JSON all agree by construction.
 """
 
@@ -70,39 +70,17 @@ def _base_name(record: KernelRecord) -> str:
 def _kernel_records(source) -> list[KernelRecord]:
     """Normalize a launch-stream source to a list of :class:`KernelRecord`.
 
-    ``source`` may be a :class:`Device` (its launch log is returned as-is),
-    a :class:`DeviceGroup` (all member devices' logs concatenated), a
-    :class:`~repro.obs.tracer.Tracer` (its ``kernel`` spans are converted
-    — the attributes written by :meth:`Device.launch` carry the same
-    fields), or any iterable of records.
+    ``source`` may be a :class:`Device` (its launch log), a
+    :class:`DeviceGroup` (all member devices' logs concatenated), a
+    :class:`~repro.obs.tracer.Tracer` (its ``kernel`` spans, through the
+    same :meth:`KernelRecord.from_span` the device uses), or any iterable
+    of records.
     """
-    if isinstance(source, DeviceGroup):
-        return list(source.kernels)
-    if isinstance(source, Device):
-        return list(source.kernels)
+    if isinstance(source, (Device, DeviceGroup)):
+        return source.kernels
     if hasattr(source, "spans"):
-        fixed = {"seconds", "bytes_read", "bytes_written", "active_lanes", "total_lanes", "error"}
-        records = []
-        for span in source.spans:
-            if getattr(span, "category", None) != "kernel":
-                continue
-            at = span.attributes
-            seconds = at.get("seconds")
-            if seconds is None:
-                seconds = span.seconds or 0.0
-            records.append(
-                KernelRecord(
-                    name=span.name,
-                    bytes_read=int(at.get("bytes_read", 0)),
-                    bytes_written=int(at.get("bytes_written", 0)),
-                    seconds=float(seconds),
-                    launch_index=len(records),
-                    active_lanes=at.get("active_lanes"),
-                    total_lanes=at.get("total_lanes"),
-                    notes={k: v for k, v in at.items() if k not in fixed},
-                )
-            )
-        return records
+        spans = [s for s in source.spans if getattr(s, "category", None) == "kernel"]
+        return [KernelRecord.from_span(span, i) for i, span in enumerate(spans)]
     return list(source)
 
 

@@ -46,6 +46,7 @@ from .report import (
     RUN_REPORT_SCHEMA,
     build_run_report,
     collect_run_metrics,
+    phase_fractions,
     write_run_report,
 )
 from .tracer import (
@@ -77,6 +78,7 @@ __all__ = [
     "current_metrics",
     "current_tracer",
     "monotonic_clock",
+    "phase_fractions",
     "render_prometheus",
     "trace_span",
     "use_metrics",

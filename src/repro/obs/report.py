@@ -5,8 +5,8 @@ into a single dict under the ``repro.obs/run-report/v2`` schema:
 
 * the per-kernel aggregation of a :class:`~repro.device.device.Device`
   (exactly the numbers ``render_trace`` prints),
-* the Figure-6 phase breakdown of a
-  :class:`~repro.device.profiler.TimingBreakdown`,
+* the Figure-6 phase breakdown (``LinearForestResult.timings``: phase name
+  → that phase span's seconds),
 * the proposition-engine frontier trajectory of a
   :class:`~repro.core.factor.ParallelFactorResult`,
 * the residual history of a
@@ -15,8 +15,8 @@ into a single dict under the ``repro.obs/run-report/v2`` schema:
 * the snapshot of a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Every section is optional — pass what the run produced.  The report is a
-strict superset of the text renderers: ``totals`` mirrors
-``summarize``/``TimingBreakdown`` so regression harnesses can diff runs
+strict superset of the text renderers: ``totals`` mirrors ``summarize``
+and the phase spans so regression harnesses can diff runs
 without parsing tables (see ``benchmarks/conftest.py``, which emits
 ``BENCH_observability.json`` reports per session).
 
@@ -36,6 +36,7 @@ __all__ = [
     "RUN_REPORT_SCHEMA",
     "build_run_report",
     "collect_run_metrics",
+    "phase_fractions",
     "write_run_report",
 ]
 
@@ -45,6 +46,14 @@ __all__ = [
 #: ``serve`` section (request latency on the daemon clock, per-request
 #: launch/byte totals, trace-retention flag).
 RUN_REPORT_SCHEMA = "repro.obs/run-report/v2"
+
+
+def phase_fractions(timings: dict[str, float]) -> dict[str, float]:
+    """Fraction of the total phase time per phase (empty if nothing timed)."""
+    total = sum(timings.values())
+    if total <= 0.0:
+        return {}
+    return {name: seconds / total for name, seconds in timings.items()}
 
 
 def collect_run_metrics(
@@ -74,9 +83,9 @@ bicgstab` recording into the ambient registry) or by a prior call — is
             registry.histogram("kernel.frontier_fraction").observe(fraction)
     if timings is not None:
         # gauges are last-write-wins: re-setting them is already idempotent
-        for name, timer in timings.phases.items():
-            registry.gauge(f"phase.seconds.{name}").set(timer.seconds)
-        registry.gauge("phase.seconds.total").set(timings.total_seconds)
+        for name, seconds in timings.items():
+            registry.gauge(f"phase.seconds.{name}").set(seconds)
+        registry.gauge("phase.seconds.total").set(sum(timings.values()))
     if factor_result is not None and "factor.iterations" not in registry.counters:
         registry.counter("factor.iterations").inc(factor_result.iterations)
         for size in factor_result.frontier_history:
@@ -108,7 +117,7 @@ def build_run_report(
 
     ``totals`` always matches the text renderers: ``launches``/``bytes``/
     ``kernel_seconds`` equal the :func:`repro.device.trace.summarize` sums,
-    ``phase_seconds`` equals ``timings.total_seconds``.
+    ``phase_seconds`` equals the summed phase seconds.
     """
     report: dict = {"schema": RUN_REPORT_SCHEMA}
     if command is not None:
@@ -140,16 +149,13 @@ def build_run_report(
         totals["kernel_seconds"] = device.total_seconds()
 
     if timings is not None:
-        fractions = timings.fractions()
+        fractions = phase_fractions(timings)
         report["phases"] = {
-            name: {
-                "seconds": timer.seconds,
-                "calls": timer.calls,
-                "fraction": fractions.get(name),
-            }
-            for name, timer in timings.phases.items()
+            # one phase span per phase and run
+            name: {"seconds": seconds, "calls": 1, "fraction": fractions.get(name)}
+            for name, seconds in timings.items()
         }
-        totals["phase_seconds"] = timings.total_seconds
+        totals["phase_seconds"] = sum(timings.values())
 
     if factor_result is not None:
         report["factor"] = {

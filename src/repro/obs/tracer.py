@@ -19,10 +19,11 @@ a run with :func:`use_tracer`::
         extract_linear_forest(a, device=Device())
     tracer.write_chrome_trace("trace.json")
 
-Timing uses ``time.perf_counter`` — this module and :mod:`repro.device`
-are the only places allowed to touch the raw clock (enforced by
-``tests/test_no_raw_timers.py``), so every measurement flows through the
-tracer or the device.
+The tracer is the library's only clock: timing uses ``time.perf_counter``,
+and this module is the one place allowed to touch it (enforced by
+``tests/test_no_raw_timers.py``).  Kernel launch times, the Figure-6 phase
+breakdown and the run reports are all views over span durations
+(:attr:`Span.seconds`), so they agree exactly.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ __all__ = [
 #: Version tag stamped into every export (bump on incompatible changes).
 SCHEMA_VERSION = "repro.obs/v1"
 
-#: The one sanctioned monotonic clock of the observability layer.  Code
-#: outside ``src/repro/device/`` and this module must not call
-#: ``time.perf_counter`` directly (``tests/test_no_raw_timers.py``) — the
-#: aggregation/exposition layers take an injectable ``clock`` defaulting to
-#: this, so tests can substitute a deterministic clock.
+#: The one sanctioned monotonic clock of the library.  Code outside this
+#: module must not call ``time.perf_counter`` directly
+#: (``tests/test_no_raw_timers.py``) — the aggregation/exposition layers
+#: take an injectable ``clock`` defaulting to this, so tests can substitute
+#: a deterministic clock.
 monotonic_clock = time.perf_counter
 
 
@@ -75,10 +76,12 @@ class Span:
     """One timed region of a run.
 
     ``start``/``end`` are seconds relative to the owning tracer's epoch;
-    ``end`` is ``None`` while the span is open.  ``category`` classifies the
-    level of the tree: ``"run"`` (a pipeline entry point), ``"phase"`` (a
-    Figure-6 phase), ``"stage"`` (an algorithm stage such as a scan or a
-    proposition round), ``"kernel"`` (one simulated launch), ``"solver"``.
+    ``end`` is ``None`` while the span is open; :attr:`seconds` is the one
+    duration of the region (spans carry no separate ``seconds`` attribute).
+    ``category`` classifies the level of the tree: ``"run"`` (a pipeline
+    entry point), ``"phase"`` (a Figure-6 phase), ``"stage"`` (an algorithm
+    stage such as a scan or a proposition round), ``"kernel"`` (one
+    simulated launch), ``"solver"``.
     """
 
     name: str

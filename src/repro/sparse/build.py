@@ -84,11 +84,13 @@ def from_edges(
 def absolute_offdiag(a: CSRMatrix) -> CSRMatrix:
     """``A' = |A| - diag(|A|)``: absolute values, diagonal removed."""
     check_square(a.shape)
-    coo = a.to_coo()
-    off = coo.row != coo.col
-    return COOMatrix(
-        row=coo.row[off], col=coo.col[off], val=np.abs(coo.val[off]), shape=a.shape
-    ).drop_zeros().to_csr()
+    # ``a`` is already canonical (sorted, duplicate-free rows): masking
+    # keeps it so, and only ``indptr`` needs rebuilding from the kept rows
+    vals = np.abs(a.data)
+    keep = (a.nnz_rows != a.indices) & (vals > 0)
+    indptr = np.zeros(a.n_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(a.nnz_rows[keep], minlength=a.n_rows), out=indptr[1:])
+    return CSRMatrix(indptr=indptr, indices=a.indices[keep], data=vals[keep], shape=a.shape)
 
 
 def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:

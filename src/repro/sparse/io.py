@@ -28,48 +28,62 @@ _SUPPORTED_SYMMETRIES = {"general", "symmetric", "skew-symmetric"}
 def read_matrix_market(source) -> CSRMatrix:
     """Read a Matrix Market coordinate file into a :class:`CSRMatrix`.
 
-    ``source`` may be a path or an open text file object.
+    ``source`` may be a path or an open text file object.  Malformed input
+    raises :class:`~repro.errors.FormatError` naming the problem and the
+    line number only — never the offending text, so a server reading
+    client-named files cannot be made to echo an arbitrary file's contents.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    except UnicodeDecodeError:
+        raise FormatError("Matrix Market input is not valid text") from None
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty Matrix Market input")
     header = lines[0].strip().lower().split()
     if len(header) != 5 or header[0] != "%%matrixmarket":
-        raise FormatError(f"bad Matrix Market header: {lines[0]!r}")
+        raise FormatError("bad Matrix Market header (line 1)")
     _, obj, fmt, field, symmetry = header
     if obj != "matrix" or fmt != "coordinate":
-        raise FormatError(f"only coordinate matrices are supported, got {obj}/{fmt}")
+        raise FormatError("only coordinate matrices are supported (line 1)")
     if field not in _SUPPORTED_FIELDS:
-        raise FormatError(f"unsupported field {field!r}")
+        raise FormatError("unsupported field (line 1)")
     if symmetry not in _SUPPORTED_SYMMETRIES:
-        raise FormatError(f"unsupported symmetry {symmetry!r}")
+        raise FormatError("unsupported symmetry (line 1)")
 
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
+    body = [
+        (lineno, ln)
+        for lineno, ln in enumerate(lines[1:], start=2)
+        if ln.strip() and not ln.lstrip().startswith("%")
+    ]
     if not body:
         raise FormatError("missing size line")
-    size_parts = body[0].split()
-    if len(size_parts) != 3:
-        raise FormatError(f"bad size line: {body[0]!r}")
-    n_rows, n_cols, nnz = (int(p) for p in size_parts)
+    size_lineno, size_line = body[0]
+    try:
+        n_rows, n_cols, nnz = (int(p) for p in size_line.split())
+    except ValueError:
+        raise FormatError(f"bad size line (line {size_lineno})") from None
     entries = body[1:]
     if len(entries) != nnz:
-        raise FormatError(f"expected {nnz} entries, found {len(entries)}")
+        raise FormatError(
+            f"size line (line {size_lineno}) does not match the "
+            f"{len(entries)} entries that follow"
+        )
 
     rows = np.empty(nnz, dtype=INDEX_DTYPE)
     cols = np.empty(nnz, dtype=INDEX_DTYPE)
     vals = np.empty(nnz, dtype=VALUE_DTYPE)
-    for k, ln in enumerate(entries):
-        parts = ln.split()
-        rows[k] = int(parts[0]) - 1
-        cols[k] = int(parts[1]) - 1
-        if field == "pattern":
-            vals[k] = 1.0
-        else:
-            vals[k] = float(parts[2])
+    try:
+        for k, (lineno, ln) in enumerate(entries):
+            parts = ln.split()
+            rows[k] = int(parts[0]) - 1
+            cols[k] = int(parts[1]) - 1
+            if field == "pattern":
+                vals[k] = 1.0
+            else:
+                vals[k] = float(parts[2])
+    except (ValueError, IndexError, OverflowError):
+        raise FormatError(f"bad entry (line {lineno})") from None
 
     if symmetry in ("symmetric", "skew-symmetric"):
         off = rows != cols

@@ -24,8 +24,8 @@ def test_pipeline_on_aniso2():
 def test_pipeline_timing_phases():
     a = aniso2(8)
     result = extract_linear_forest(a)
-    assert set(result.timings.phases) == {PHASE_FACTOR, PHASE_SCANS, PHASE_EXTRACT}
-    assert result.timings.total_seconds > 0.0
+    assert set(result.timings) == {PHASE_FACTOR, PHASE_SCANS, PHASE_EXTRACT}
+    assert sum(result.timings.values()) > 0.0
 
 
 def test_pipeline_rejects_non_2_factor():

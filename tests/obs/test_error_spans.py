@@ -3,14 +3,17 @@
 A kernel or phase body that raises must (a) keep its accounting record —
 the Figure-6 breakdown of a partially failed run stays truthful — and
 (b) close its span with an ``error`` attribute naming the exception type,
-so the exported trace shows *where* the run died.
+so the exported trace shows *where* the run died.  Records and phase
+times are span durations, so they equal their spans exactly.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import extract_linear_forest
+from repro.core.pipeline import PHASE_EXTRACT, PHASE_FACTOR, PHASE_SCANS
 from repro.device import Device
-from repro.device.profiler import PhaseTimer, TimingBreakdown
+from repro.graphs import aniso2
 from repro.obs import Tracer, use_tracer
 
 
@@ -59,43 +62,101 @@ def test_device_launch_span_has_no_error_on_success():
     assert "error" not in tracer.find(category="kernel")[0].attributes
 
 
-def test_phase_timer_accumulates_on_raise():
-    timer = PhaseTimer("doomed-phase")
-    with pytest.raises(KernelBoom):
-        with timer.measure():
-            raise KernelBoom()
-    assert timer.calls == 1
-    assert timer.seconds >= 0.0
+class PhaseBoom(RuntimeError):
+    pass
 
 
-def test_phase_timer_closes_span_with_error():
-    timer = PhaseTimer("doomed-phase")
+def _raise_in_factor_phase(monkeypatch):
+    """Make the pipeline's [0,2]-factor phase raise mid-phase."""
+
+    def boom(*args, **kwargs):
+        raise PhaseBoom()
+
+    monkeypatch.setattr("repro.core.pipeline.parallel_factor", boom)
+
+
+def test_phase_span_records_seconds_on_raise(monkeypatch):
+    """A raising phase still closes its span with the time spent so far."""
+    _raise_in_factor_phase(monkeypatch)
     tracer = Tracer()
     with use_tracer(tracer):
-        with pytest.raises(KernelBoom):
-            with timer.measure():
-                raise KernelBoom()
-    span = tracer.find(category="phase")[0]
-    assert span.name == "doomed-phase"
-    assert span.end is not None
-    assert span.attributes["error"] == "KernelBoom"
-    assert span.attributes["seconds"] == pytest.approx(timer.seconds)
+        with pytest.raises(PhaseBoom):
+            extract_linear_forest(aniso2(6))
+    phase = tracer.find(category="phase")[0]
+    assert phase.name == PHASE_FACTOR
+    assert phase.seconds is not None and phase.seconds >= 0.0
 
 
-def test_breakdown_phase_error_nests_kernel_span():
-    """A kernel failing inside a phase: both spans close, both carry error."""
-    breakdown = TimingBreakdown()
+def test_phase_span_closes_with_error(monkeypatch):
+    _raise_in_factor_phase(monkeypatch)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        with pytest.raises(PhaseBoom):
+            extract_linear_forest(aniso2(6))
+        # the tracer stack is clean: the next span is a root again
+        with tracer.span("after") as after:
+            pass
+    run = tracer.find(category="run")[0]
+    phase = tracer.find(category="phase")[0]
+    assert phase.parent_id == run.span_id
+    assert phase.attributes["error"] == "PhaseBoom"
+    assert run.attributes["error"] == "PhaseBoom"
+    assert "seconds" not in phase.attributes
+    assert after.parent_id is None
+
+
+def test_breakdown_phase_error_nests_kernel_span(monkeypatch):
+    """A kernel failing inside a phase: both spans close, both carry error,
+    and the failed launch still leaves its record."""
     dev = Device()
+
+    def failing_factor(*args, **kwargs):
+        with dev.launch("inner", reads=(np.zeros(4),)):
+            raise KernelBoom()
+
+    monkeypatch.setattr("repro.core.pipeline.parallel_factor", failing_factor)
     tracer = Tracer()
     with use_tracer(tracer):
         with pytest.raises(KernelBoom):
-            with breakdown.phase("setup"):
-                with dev.launch("inner", reads=(np.zeros(4),)):
-                    raise KernelBoom()
+            extract_linear_forest(aniso2(6), device=dev)
     phase = tracer.find(category="phase")[0]
     kernel = tracer.find(category="kernel")[0]
     assert kernel.parent_id == phase.span_id
     assert phase.attributes["error"] == "KernelBoom"
     assert kernel.attributes["error"] == "KernelBoom"
-    assert breakdown.phases["setup"].calls == 1
     assert dev.launch_count == 1
+    assert dev.kernels[0].seconds == kernel.seconds
+    assert dev.kernels[0].bytes_read == 32
+
+
+def test_kernel_and_phase_times_are_the_span_durations():
+    """One clock: every record and phase time *is* its span's duration."""
+    dev = Device()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = extract_linear_forest(aniso2(10), device=dev)
+    kernel_spans = tracer.find(category="kernel")
+    assert dev.launch_count == len(kernel_spans) > 0
+    for rec, span in zip(dev.kernels, kernel_spans):
+        assert rec.name == span.name
+        assert rec.seconds == span.seconds
+        assert "seconds" not in span.attributes
+    phase_spans = {s.name: s for s in tracer.find(category="phase")}
+    assert set(result.timings) == set(phase_spans) == {
+        PHASE_FACTOR, PHASE_SCANS, PHASE_EXTRACT,
+    }
+    for name, seconds in result.timings.items():
+        assert seconds == phase_spans[name].seconds
+
+
+def test_untraced_recording_device_keeps_its_own_spans():
+    """No ambient tracer: phases time on a run-local tracer and the kernel
+    records come from the device's own spans."""
+    dev = Device()
+    result = extract_linear_forest(aniso2(8), device=dev)
+    assert dev.launch_count > 0
+    assert all(rec.seconds >= 0.0 for rec in dev.kernels)
+    assert [rec.launch_index for rec in dev.kernels] == list(range(dev.launch_count))
+    assert all(seconds >= 0.0 for seconds in result.timings.values())
+    dev.reset()
+    assert dev.launch_count == 0 and dev.kernels == []

@@ -2,7 +2,7 @@
 
 The acceptance property of the subsystem is that the JSON report and the
 text renderers are views over the same numbers: ``totals`` must equal the
-:func:`repro.device.trace.summarize` sums and ``TimingBreakdown``'s total,
+:func:`repro.device.trace.summarize` sums and the summed phase seconds,
 with no independent bookkeeping that could drift.
 """
 
@@ -21,6 +21,7 @@ from repro.obs import (
     Tracer,
     build_run_report,
     collect_run_metrics,
+    phase_fractions,
     use_metrics,
     use_tracer,
     write_run_report,
@@ -58,17 +59,25 @@ def test_report_totals_match_summarize_and_breakdown(observed_run):
     assert report["totals"]["kernel_seconds"] == pytest.approx(
         sum(s.seconds for s in summaries))
     assert report["totals"]["phase_seconds"] == pytest.approx(
-        result.timings.total_seconds)
+        sum(result.timings.values()))
     # the per-kernel section is summarize() verbatim
     by_name = {k["name"]: k for k in report["kernels"]}
     for s in summaries:
         assert by_name[s.name]["launches"] == s.launches
         assert by_name[s.name]["bytes"] == s.bytes_total
     # the phases section is the breakdown verbatim
-    for name, timer in result.timings.phases.items():
-        assert report["phases"][name]["seconds"] == pytest.approx(timer.seconds)
-        assert report["phases"][name]["calls"] == timer.calls
+    for name, seconds in result.timings.items():
+        assert report["phases"][name]["seconds"] == seconds
+        assert report["phases"][name]["calls"] == 1
     json.dumps(report)
+
+
+def test_phase_fractions():
+    fr = phase_fractions({"x": 0.25, "y": 0.75})
+    assert fr == {"x": 0.25, "y": 0.75}
+    assert sum(phase_fractions({"a": 0.1, "b": 0.2, "c": 0.3}).values()) == pytest.approx(1.0)
+    assert phase_fractions({}) == {}
+    assert phase_fractions({"idle": 0.0}) == {}
 
 
 def test_report_tracer_view_agrees_with_device_view(observed_run):
@@ -123,7 +132,7 @@ def test_collect_run_metrics_unifies_sources(observed_run):
     assert snap["counters"]["kernel.bytes"] == device.total_bytes()
     assert snap["counters"]["factor.iterations"] == result.factor_result.iterations
     assert snap["gauges"]["phase.seconds.total"] == pytest.approx(
-        result.timings.total_seconds)
+        sum(result.timings.values()))
     hist = snap["histograms"]["factor.frontier_size"]
     assert hist["count"] == len(result.factor_result.frontier_history)
 

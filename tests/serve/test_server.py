@@ -112,6 +112,30 @@ class TestLoadMatrix:
         with pytest.raises(ConfigError, match="could not read"):
             load_matrix({"kind": "file", "path": str(tmp_path / "nope.mtx")})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SECRET-MARKER:x:0:0\n3 3 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate secret-marker general\n3 3 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\nSECRET-MARKER 3 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 SECRET-MARKER 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 SECRET-MARKER\n",
+        ],
+        ids=["header", "field", "size-line", "entry-index", "entry-value"],
+    )
+    def test_malformed_file_contents_are_never_echoed(self, tmp_path, server, text):
+        # a request may name any readable file: the error must describe the
+        # problem without quoting the file back to the client
+        path = tmp_path / "not-a-matrix.txt"
+        path.write_text(text)
+        r = server.handle_request(
+            {"id": "leak", "op": "extract", "matrix": {"kind": "file", "path": str(path)}}
+        )
+        assert r["ok"] is False
+        assert r["error"]["type"] == "FormatError"
+        assert "line" in r["error"]["message"]
+        assert "secret-marker" not in json.dumps(r).lower()
+
     def test_suite_kind(self):
         a = load_matrix({"kind": "suite", "name": "aniso2", "scale": 0.25})
         assert a.n_rows > 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.sparse import (
+    CSRMatrix,
     absolute_offdiag,
     add,
     from_dense,
@@ -54,6 +55,23 @@ def test_absolute_offdiag(small_dense):
     assert np.all(np.diag(dense) == 0.0)
     off = ~np.eye(5, dtype=bool)
     np.testing.assert_allclose(dense[off], np.abs(small_dense)[off])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_absolute_offdiag_drops_stored_zeros_and_diagonal(dtype):
+    # row 0: diagonal only; row 1: a stored zero, a -0.0 and a kept value;
+    # row 2: empty; row 3: diagonal plus two negatives
+    a = CSRMatrix(
+        indptr=np.array([0, 1, 4, 4, 7]),
+        indices=np.array([0, 0, 2, 3, 0, 2, 3]),
+        data=np.array([5.0, 0.0, -0.0, -2.5, -1.0, -3.0, 4.0], dtype=dtype),
+        shape=(4, 4),
+    )
+    ap = absolute_offdiag(a)
+    assert ap.data.dtype == dtype
+    np.testing.assert_array_equal(ap.indptr, [0, 0, 1, 1, 3])
+    np.testing.assert_array_equal(ap.indices, [3, 0, 2])
+    np.testing.assert_array_equal(ap.data, np.array([2.5, 1.0, 3.0], dtype=dtype))
 
 
 def test_absolute_offdiag_requires_square():
